@@ -13,6 +13,7 @@ import sys
 from .dense import BreakdownError
 from .estimator import DEFAULT_GROWTH_LIMIT
 from .harness import RunManifest, run_experiment
+from .ilu import ZeroPivotError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,6 +81,9 @@ def main(argv=None) -> int:
         result = run_experiment(manifest, args.out)
     except (ValueError, OSError) as exc:
         print(f"sstep: error: {exc}", file=sys.stderr)
+        return 1
+    except ZeroPivotError as exc:
+        print(f"sstep: error: ilu0: {exc}", file=sys.stderr)
         return 1
     except BreakdownError as exc:
         print(f"sstep: breakdown: {exc}", file=sys.stderr)

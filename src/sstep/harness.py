@@ -167,11 +167,10 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
     # imported here: the solvers module itself needs ReductionCounter above
     from .solvers import SolverConfig, adaptive_gmres, gmres_baseline, ritz_harvest
 
+    t_setup = time.perf_counter()
     a = resolve_matrix(manifest.matrix)
     b = build_rhs(a, manifest.rhs, manifest.seed)
     counter = ReductionCounter()
-
-    t_setup = time.perf_counter()
     if manifest.equilibrate == "scalar":
         raw_ritz = ritz_harvest(a.matvec, b, manifest.initial_step, counter)
         alpha = float(np.max(np.abs(raw_ritz.values)))

@@ -1,5 +1,10 @@
 """Restarted GMRES solvers: a column-at-a-time baseline and the adaptive block variant.
 
+Both run through one restart-cycle driver and differ only in the step
+that extends a cycle's basis: one modified Gram-Schmidt column for the
+baseline; for the adaptive solver a block (matrix powers, condition-limited
+block QR, Hessenberg assembly) that falls back to the same column step.
+
 Both take the operator as a callable and the right-hand side of the system
 actually iterated on, i.e. preconditioning and scaling are folded in by the
 caller.  Residual norms in traces are therefore preconditioned residuals,
@@ -109,6 +114,28 @@ def _counted(op, counter: ReductionCounter, phase: str):
     return apply
 
 
+def _mgs_column(op, q: np.ndarray, k: int, hcol: np.ndarray,
+                counter: ReductionCounter, phase: str) -> float:
+    """One modified Gram-Schmidt step on an orthonormal basis q[:, :k].
+
+    Applies op to q[:, k - 1], projects the result against q[:, :k] one
+    column at a time, and stores the k coefficients and the remaining norm
+    in hcol[:k + 1].  A nonzero norm puts the normalized vector in
+    q[:, k].  Books k projection events and one norm to phase.
+    """
+    w = op(q[:, k - 1])
+    counter.add("projections", phase, k)
+    for t in range(k):
+        hcol[t] = float(q[:, t] @ w)
+        w -= hcol[t] * q[:, t]
+    counter.add("norms", phase)
+    nrm = float(np.linalg.norm(w))
+    hcol[k] = nrm
+    if nrm != 0.0:
+        q[:, k] = w / nrm
+    return nrm
+
+
 class _Rows:
     """Accumulates per-iteration trace rows."""
 
@@ -131,26 +158,230 @@ class _Rows:
         return len(self.residuals)
 
 
-def _confirm(op_res, counter: ReductionCounter, b: np.ndarray, x_prev: np.ndarray,
-             dx: np.ndarray, est: float, beta: float, beta0: float,
-             rel_tol: float) -> tuple:
-    """Check a convergence signal against the true residual.
+class _Cycle:
+    """Basis, Hessenberg matrix and least-squares state of one restart cycle.
 
-    Returns (x, final_rel, converged, kept).  The updated iterate is kept
-    only when the confirmation passes or the residual actually improved
-    over the cycle start; a least-squares solve that crossed a
-    near-dependent column can otherwise hand back a worse point than it
-    started from.  kept=False means the caller restarts from an unchanged
-    state, so an otherwise identical cycle would just repeat.
+    A step extends q[:, :ncols + 1] by one or more columns, appends the
+    matching Hessenberg columns to ls and emits one trace row per column.
+    q is the solve's basis storage, overwritten column by column.
     """
-    x_new = x_prev + dx
-    counter.add("true_residual_checks", "residual")
-    true_nrm = float(np.linalg.norm(b - op_res(x_new)))
-    counter.add("norms", "residual")
-    converged = true_nrm <= max(10.0 * est, rel_tol * beta0)
-    if converged or true_nrm < beta:
-        return x_new, true_nrm / beta0, converged, True
-    return x_prev, beta / beta0, converged, False
+
+    def __init__(self, q: np.ndarray, r: np.ndarray, beta: float, beta0: float,
+                 cfg: SolverConfig, rows: _Rows):
+        m = cfg.restart_len
+        self.q = q
+        self.q[:, 0] = r / beta
+        self.h = np.zeros((m + 1, m))
+        self.ls = GivensLs(m, beta)
+        self.loo_sq = 0.0
+        self.beta0 = beta0
+        self.cfg = cfg
+        self.rows = rows
+
+    def reached(self, est: float) -> bool:
+        """Whether a least-squares residual estimate meets the tolerance."""
+        return est <= self.cfg.rel_tol * self.beta0
+
+    def emit(self, est: float, loo: float, width: int):
+        self.rows.emit(est / self.beta0, loo, width)
+
+
+def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig,
+                     counter: ReductionCounter, step) -> SolveTrace:
+    """Restarted GMRES around a basis-extending step.
+
+    step(cycle) extends the cycle's basis and returns None to go on, or a
+    signal (k, est, exhausted): solve on the first k columns, whose
+    residual estimate is est, and confirm.  exhausted marks a Krylov
+    space that cannot grow.  step.width is the step's current block width.
+    A confirmation that neither converges nor improves on the cycle start
+    ends the solve as a breakdown when the width did not change during the
+    cycle, since the restarted cycle would repeat this one exactly.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=np.float64)
+    op_res = _counted(op, counter, "residual")
+
+    # one basis for all cycles: a cycle reads only the columns it wrote
+    q = np.empty((len(b), cfg.restart_len + 1))
+    rows = _Rows(counter)
+    beta0 = None
+    converged = False
+    breakdown = False
+    final_rel = math.inf
+    restarts_used = 0
+    for cycle in range(cfg.max_restarts + 1):
+        restarts_used = cycle
+        if cycle == 0 and x0 is None:
+            r = b.copy()
+        else:
+            r = b - op_res(x)
+        counter.add("norms", "residual")
+        beta = float(np.linalg.norm(r))
+        if beta0 is None:
+            beta0 = beta
+            if beta0 == 0.0:
+                converged, final_rel = True, 0.0
+                break
+        if beta <= cfg.rel_tol * beta0:
+            converged, final_rel = True, beta / beta0
+            break
+
+        cyc = _Cycle(q, r, beta, beta0, cfg, rows)
+        width = step.width
+        signal = None
+        while cyc.ls.ncols < cfg.restart_len and signal is None:
+            signal = step(cyc)
+        if signal is None:
+            # full cycle without a convergence signal: advance the iterate
+            x = x + cyc.q[:, : cyc.ls.ncols] @ cyc.ls.solve()
+            continue
+        k, est, exhausted = signal
+        if k == 0:
+            breakdown, final_rel = True, beta / beta0
+            break
+        # confirm against the true residual; the update is kept only when it
+        # converges or improves on the cycle start, since a least-squares
+        # solve that crossed a near-dependent column can hand back a worse point
+        x_new = x + cyc.q[:, :k] @ cyc.ls.solve(k)
+        counter.add("true_residual_checks", "residual")
+        true_nrm = float(np.linalg.norm(b - op_res(x_new)))
+        counter.add("norms", "residual")
+        # the 10x allowance on the estimate applies only to an estimate that
+        # met the tolerance; an exhausted space above it is not convergence
+        tol = cfg.rel_tol * beta0
+        converged = true_nrm <= (max(10.0 * est, tol) if cyc.reached(est) else tol)
+        kept = converged or true_nrm < beta
+        if kept:
+            x, final_rel = x_new, true_nrm / beta0
+        else:
+            final_rel = beta / beta0
+        if converged:
+            break
+        if exhausted or (not kept and step.width == width):
+            breakdown = True
+            break
+    if not converged and not breakdown:
+        counter.add("norms", "residual")
+        final_rel = float(np.linalg.norm(b - op_res(x))) / beta0
+
+    return SolveTrace(
+        converged=converged,
+        x=x,
+        iterations=len(rows),
+        residuals=np.asarray(rows.residuals),
+        loo=np.asarray(rows.loo) if cfg.track_loo else np.full(len(rows), np.nan),
+        block_size=np.asarray(rows.block_size, dtype=np.int64),
+        reductions_cum=np.asarray(rows.reductions_cum, dtype=np.int64),
+        spmv_cum=np.asarray(rows.spmv_cum, dtype=np.int64),
+        block_sizes=[],
+        cond_traces=[],
+        counter=counter,
+        beta0=beta0,
+        final_relative_residual=final_rel,
+        restarts=restarts_used,
+        breakdown=breakdown,
+    )
+
+
+class _ColumnStep:
+    """One modified Gram-Schmidt column: the baseline step and the block fallback."""
+
+    width = 1
+
+    def __init__(self, op, counter: ReductionCounter, phase: str):
+        self.op = op
+        self.counter = counter
+        self.phase = phase
+
+    def __call__(self, cyc: _Cycle):
+        q, ls = cyc.q, cyc.ls
+        i = ls.ncols + 1
+        hcol = cyc.h[: i + 1, i - 1]
+        nrm = _mgs_column(self.op, q, i, hcol, self.counter, self.phase)
+        happy = not nrm > 0.0  # a NaN norm also ends the cycle
+        if cyc.cfg.track_loo and not happy:
+            c = q[:, :i].T @ q[:, i]
+            cyc.loo_sq += 2.0 * float(c @ c)
+            cyc.loo_sq += (float(q[:, i] @ q[:, i]) - 1.0) ** 2
+        try:
+            est = float(ls.append(hcol)[0])
+        except BreakdownError:
+            # only a happy column can come out fully dependent: the space is
+            # exhausted, so solve on the columns appended before it
+            return i - 1, float(ls.residual_estimate), True
+        cyc.emit(est, math.sqrt(cyc.loo_sq), 1)
+        if cyc.reached(est) or happy:
+            return i, est, happy
+        return None
+
+
+class _BlockStep:
+    """One adaptive block: matrix powers, condition-limited block QR, Hessenberg assembly.
+
+    width is the adapted block size; it shrinks to the accepted width
+    whenever the factorization truncates.  A block that yields no usable
+    column falls back to one modified Gram-Schmidt column.
+    """
+
+    def __init__(self, op, counter: ReductionCounter, cfg: SolverConfig,
+                 ritz: RitzSet | None, width: int):
+        self.op = _counted(op, counter, "mpk")
+        self.fallback = _ColumnStep(_counted(op, counter, "fallback"), counter, "fallback")
+        self.counter = counter
+        self.cfg = cfg
+        self.ritz = ritz
+        self.width = width
+        self.block_sizes = []
+        self.cond_traces = []
+        self.wasted = 0
+
+    def __call__(self, cyc: _Cycle):
+        cfg, q, ls = self.cfg, cyc.q, cyc.ls
+        i = ls.ncols + 1
+        s_eff = min(self.width, cfg.restart_len - i + 1)
+        shifts = None if cfg.basis == "monomial" else self.ritz.cycled(s_eff)
+        cob = build_change_of_basis(cfg.basis, s_eff, shifts)
+        blk = matrix_powers(self.op, q[:, i - 1], cob, cfg.overflow_limit)
+        if blk.truncated:
+            self.wasted += 1
+        outcome = None
+        if blk.ncols > 0:
+            try:
+                outcome = bcgs2_partial_cholqr(
+                    q[:, :i], blk.v, cfg.cond_limit,
+                    use_estimator=cfg.incremental_condition, counter=self.counter,
+                )
+            except BreakdownError:
+                self.wasted += blk.ncols
+        if outcome is None:
+            return self.fallback(cyc)
+
+        p = outcome.p
+        self.wasted += blk.ncols - p
+        h_blk = assemble_hessenberg(outcome.r_hat, cob.dense(), cyc.h[:i, : i - 1])
+        cyc.h[: i + p, i - 1 : i - 1 + p] = h_blk
+        ests = ls.append(h_blk)
+        q[:, i : i + p] = outcome.q_new
+        self.block_sizes.append(p)
+        self.cond_traces.append(outcome.cond_trace)
+        conv_t = next((t for t in range(p) if cyc.reached(ests[t])), None)
+        emit = p if conv_t is None else conv_t + 1
+        if cfg.track_loo:
+            # measure only the columns the emitted iterations span;
+            # candidates past a convergence signal are never used
+            qn = outcome.q_new[:, :emit]
+            c = q[:, :i].T @ qn
+            d = qn.T @ qn - np.eye(emit)
+            cyc.loo_sq += 2.0 * float(np.sum(c * c)) + float(np.sum(d * d))
+        loo_val = math.sqrt(cyc.loo_sq)
+        for t in range(emit):
+            cyc.emit(float(ests[t]), loo_val, p)
+        if outcome.stopped_by != "none":
+            self.width = p
+        if conv_t is None:
+            return None
+        return i + conv_t, float(ests[conv_t]), False
 
 
 def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None = None) -> RitzSet:
@@ -164,29 +395,19 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
         raise ValueError("k must be positive")
     counter = counter if counter is not None else ReductionCounter()
     rhs = np.asarray(rhs, dtype=np.float64)
-    n = len(rhs)
     op_h = _counted(op, counter, "harvest")
     counter.add("norms", "harvest")
     beta = float(np.linalg.norm(rhs))
     if beta == 0.0:
         raise ValueError("cannot harvest from a zero vector")
-    q = np.empty((n, k + 1))
+    q = np.empty((len(rhs), k + 1))
     q[:, 0] = rhs / beta
     h = np.zeros((k + 1, k))
     k_eff = k
     for j in range(k):
-        w = op_h(q[:, j])
-        counter.add("projections", "harvest", j + 1)
-        for t in range(j + 1):
-            h[t, j] = float(q[:, t] @ w)
-            w -= h[t, j] * q[:, t]
-        counter.add("norms", "harvest")
-        nrm = float(np.linalg.norm(w))
-        h[j + 1, j] = nrm
-        if nrm == 0.0:
+        if _mgs_column(op_h, q, j + 1, h[:, j], counter, "harvest") == 0.0:
             k_eff = j + 1
             break
-        q[:, j + 1] = w / nrm
     vals = hessenberg_eigenvalues(h, k_eff)
     return RitzSet.from_values(vals)
 
@@ -220,119 +441,8 @@ def gmres_baseline(op, b: np.ndarray, x0: np.ndarray | None = None,
     """
     cfg = config if config is not None else SolverConfig()
     counter = counter if counter is not None else ReductionCounter()
-    b = np.asarray(b, dtype=np.float64)
-    n = len(b)
-    m = cfg.restart_len
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    have_x0 = x0 is not None
-    op_res = _counted(op, counter, "residual")
-    op_mpk = _counted(op, counter, "mpk")
-
-    rows = _Rows(counter)
-    beta0 = None
-    converged = False
-    breakdown = False
-    final_rel = math.inf
-    restarts_used = 0
-    for cycle in range(cfg.max_restarts + 1):
-        restarts_used = cycle
-        if cycle == 0 and not have_x0:
-            r = b.copy()
-        else:
-            r = b - op_res(x)
-        counter.add("norms", "residual")
-        beta = float(np.linalg.norm(r))
-        if beta0 is None:
-            beta0 = beta
-            if beta0 == 0.0:
-                converged, final_rel = True, 0.0
-                break
-        if beta <= cfg.rel_tol * beta0:
-            converged, final_rel = True, beta / beta0
-            break
-        q = np.empty((n, m + 1))
-        q[:, 0] = r / beta
-        ls = GivensLs(m, beta)
-        loo_sq = 0.0
-        happy = False
-        signaled = False
-        est = beta
-        k_used = 0
-        for j in range(m):
-            w = op_mpk(q[:, j])
-            hcol = np.empty(j + 2)
-            counter.add("projections", "ortho", j + 1)
-            for t in range(j + 1):
-                hcol[t] = float(q[:, t] @ w)
-                w -= hcol[t] * q[:, t]
-            counter.add("norms", "ortho")
-            nrm = float(np.linalg.norm(w))
-            hcol[j + 1] = nrm
-            if nrm > 0.0:
-                q[:, j + 1] = w / nrm
-                if cfg.track_loo:
-                    c = q[:, : j + 1].T @ q[:, j + 1]
-                    loo_sq += 2.0 * float(c @ c)
-                    loo_sq += (float(q[:, j + 1] @ q[:, j + 1]) - 1.0) ** 2
-            else:
-                happy = True
-            try:
-                est = float(ls.append(hcol)[0])
-            except BreakdownError:
-                # only a happy column can come out fully dependent; the
-                # space is exhausted and the new column is useless
-                breakdown = True
-                break
-            k_used = j + 1
-            rows.emit(est / beta0, math.sqrt(loo_sq), 1)
-            if est <= cfg.rel_tol * beta0 or happy:
-                signaled = est <= cfg.rel_tol * beta0
-                break
-        if breakdown:
-            if k_used:
-                y = ls.solve(k_used)
-                x, final_rel, converged, _ = _confirm(
-                    op_res, counter, b, x, q[:, :k_used] @ y,
-                    ls.residual_estimate, beta, beta0, cfg.rel_tol)
-                breakdown = not converged
-            else:
-                final_rel = beta / beta0
-            break
-        y = ls.solve(k_used)
-        dx = q[:, :k_used] @ y
-        if signaled or happy:
-            x, final_rel, converged, kept = _confirm(
-                op_res, counter, b, x, dx, est, beta, beta0, cfg.rel_tol)
-            if converged:
-                break
-            if happy or not kept:
-                # exhausted Krylov space, or no progress from an unchanged
-                # state: a restart would reproduce this cycle exactly
-                breakdown = True
-                break
-        else:
-            x = x + dx
-    if not converged and not breakdown:
-        counter.add("norms", "residual")
-        final_rel = float(np.linalg.norm(b - op_res(x))) / beta0
-
-    return SolveTrace(
-        converged=converged,
-        x=x,
-        iterations=len(rows),
-        residuals=np.asarray(rows.residuals),
-        loo=np.asarray(rows.loo) if cfg.track_loo else np.full(len(rows), np.nan),
-        block_size=np.asarray(rows.block_size, dtype=np.int64),
-        reductions_cum=np.asarray(rows.reductions_cum, dtype=np.int64),
-        spmv_cum=np.asarray(rows.spmv_cum, dtype=np.int64),
-        block_sizes=[],
-        cond_traces=[],
-        counter=counter,
-        beta0=beta0,
-        final_relative_residual=final_rel,
-        restarts=restarts_used,
-        breakdown=breakdown,
-    )
+    step = _ColumnStep(_counted(op, counter, "mpk"), counter, "ortho")
+    return _restarted_gmres(op, b, x0, cfg, counter, step)
 
 
 def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
@@ -355,193 +465,20 @@ def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
     """
     cfg = config if config is not None else SolverConfig()
     counter = counter if counter is not None else ReductionCounter()
-    b = np.asarray(b, dtype=np.float64)
-    n = len(b)
-    m = cfg.restart_len
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    have_x0 = x0 is not None
-    op_res = _counted(op, counter, "residual")
-    op_mpk = _counted(op, counter, "mpk")
-    op_fb = _counted(op, counter, "fallback")
-
     needs_ritz = cfg.basis != "monomial" or cfg.use_step_estimator
     if needs_ritz and ritz is None:
         ritz = ritz_harvest(op, b, cfg.initial_step, counter)
 
     s0_star = None
-    s_current = cfg.initial_step
+    width = cfg.initial_step
     if cfg.use_step_estimator:
         s0_star = estimate_initial_step(ritz, cfg.growth_limit).s0_star
-        s_current = min(s_current, s0_star)
+        width = min(width, s0_star)
 
-    rows = _Rows(counter)
-    block_sizes = []
-    cond_traces = []
-    beta0 = None
-    converged = False
-    breakdown = False
-    wasted = 0
-    final_rel = math.inf
-    restarts_used = 0
-
-    for cycle in range(cfg.max_restarts + 1):
-        restarts_used = cycle
-        if cycle == 0 and not have_x0:
-            r = b.copy()
-        else:
-            r = b - op_res(x)
-        counter.add("norms", "residual")
-        beta = float(np.linalg.norm(r))
-        if beta0 is None:
-            beta0 = beta
-            if beta0 == 0.0:
-                converged, final_rel = True, 0.0
-                break
-        if beta <= cfg.rel_tol * beta0:
-            converged, final_rel = True, beta / beta0
-            break
-
-        q = np.empty((n, m + 1))
-        q[:, 0] = r / beta
-        h = np.zeros((m + 1, m))
-        ls = GivensLs(m, beta)
-        loo_sq = 0.0
-        i = 1
-        stop_cycle = False
-        s_cycle_start = s_current
-        while i <= m and not stop_cycle:
-            s_eff = min(s_current, m - i + 1)
-            if cfg.basis == "monomial":
-                cob = build_change_of_basis("monomial", s_eff)
-            else:
-                cob = build_change_of_basis(cfg.basis, s_eff, ritz.cycled(s_eff))
-            blk = matrix_powers(op_mpk, q[:, i - 1], cob, cfg.overflow_limit)
-            if blk.truncated:
-                wasted += 1
-            outcome = None
-            if blk.ncols > 0:
-                try:
-                    outcome = bcgs2_partial_cholqr(
-                        q[:, :i], blk.v, cfg.cond_limit,
-                        use_estimator=cfg.incremental_condition, counter=counter,
-                    )
-                except BreakdownError:
-                    outcome = None
-                    wasted += blk.ncols
-            if outcome is not None:
-                p = outcome.p
-                wasted += blk.ncols - p
-                h_blk = assemble_hessenberg(outcome.r_hat, cob.dense(), h[:i, : i - 1])
-                h[: i + p, i - 1 : i - 1 + p] = h_blk
-                ests = ls.append(h_blk)
-                q[:, i : i + p] = outcome.q_new
-                block_sizes.append(p)
-                cond_traces.append(outcome.cond_trace)
-                conv_t = None
-                for t in range(p):
-                    if ests[t] <= cfg.rel_tol * beta0:
-                        conv_t = t
-                        break
-                emit = p if conv_t is None else conv_t + 1
-                if cfg.track_loo:
-                    # measure only the columns the emitted iterations span;
-                    # candidates past a convergence signal are never used
-                    qn = outcome.q_new[:, :emit]
-                    c = q[:, :i].T @ qn
-                    d = qn.T @ qn - np.eye(emit)
-                    loo_sq += 2.0 * float(np.sum(c * c)) + float(np.sum(d * d))
-                loo_val = math.sqrt(loo_sq)
-                for t in range(emit):
-                    rows.emit(float(ests[t]) / beta0, loo_val, p)
-                i += p
-                if outcome.stopped_by != "none":
-                    s_current = p
-                if conv_t is not None:
-                    k_conv = (i - p - 1) + conv_t + 1
-                    y = ls.solve(k_conv)
-                    x, final_rel, converged, kept = _confirm(
-                        op_res, counter, b, x, q[:, :k_conv] @ y,
-                        float(ests[conv_t]), beta, beta0, cfg.rel_tol)
-                    stop_cycle = True
-                    if not converged and not kept and s_current == s_cycle_start:
-                        # same x and same step size: the restarted cycle
-                        # would repeat this one and stall the same way
-                        breakdown = True
-            else:
-                # no usable column came out of the block: take one plain
-                # Gram-Schmidt step so the basis still advances
-                w = op_fb(q[:, i - 1])
-                hcol = np.empty(i + 1)
-                counter.add("projections", "fallback", i)
-                for t in range(i):
-                    hcol[t] = float(q[:, t] @ w)
-                    w -= hcol[t] * q[:, t]
-                counter.add("norms", "fallback")
-                nrm = float(np.linalg.norm(w))
-                hcol[i] = nrm
-                if nrm == 0.0:
-                    # the basis cannot grow, but the projection coefficients
-                    # still extend the least-squares system; solve what the
-                    # current space offers and stop either way
-                    h[: i + 1, i - 1] = hcol
-                    stop_cycle = True
-                    try:
-                        est = float(ls.append(hcol)[0])
-                    except BreakdownError:
-                        breakdown = True
-                        final_rel = beta / beta0
-                    else:
-                        rows.emit(est / beta0, math.sqrt(loo_sq), 1)
-                        y = ls.solve()
-                        x, final_rel, converged, _ = _confirm(
-                            op_res, counter, b, x, q[:, : ls.ncols] @ y,
-                            est, beta, beta0, cfg.rel_tol)
-                        breakdown = not converged
-                else:
-                    h[: i + 1, i - 1] = hcol
-                    q[:, i] = w / nrm
-                    if cfg.track_loo:
-                        c = q[:, :i].T @ q[:, i]
-                        loo_sq += 2.0 * float(c @ c)
-                        loo_sq += (float(q[:, i] @ q[:, i]) - 1.0) ** 2
-                    est = float(ls.append(hcol)[0])
-                    rows.emit(est / beta0, math.sqrt(loo_sq), 1)
-                    i += 1
-                    if est <= cfg.rel_tol * beta0:
-                        y = ls.solve()
-                        x, final_rel, converged, kept = _confirm(
-                            op_res, counter, b, x, q[:, : ls.ncols] @ y,
-                            est, beta, beta0, cfg.rel_tol)
-                        stop_cycle = True
-                        if not converged and not kept and s_current == s_cycle_start:
-                            breakdown = True
-        if converged or breakdown:
-            break
-        if not stop_cycle and ls.ncols > 0:
-            # full cycle without a convergence signal: advance the iterate
-            y = ls.solve()
-            x = x + q[:, : ls.ncols] @ y
-
-    if not converged and not breakdown and beta0 is not None and beta0 > 0.0:
-        counter.add("norms", "residual")
-        final_rel = float(np.linalg.norm(b - op_res(x))) / beta0
-
-    return SolveTrace(
-        converged=converged,
-        x=x,
-        iterations=len(rows),
-        residuals=np.asarray(rows.residuals),
-        loo=np.asarray(rows.loo) if cfg.track_loo else np.full(len(rows), np.nan),
-        block_size=np.asarray(rows.block_size, dtype=np.int64),
-        reductions_cum=np.asarray(rows.reductions_cum, dtype=np.int64),
-        spmv_cum=np.asarray(rows.spmv_cum, dtype=np.int64),
-        block_sizes=block_sizes,
-        cond_traces=cond_traces,
-        counter=counter,
-        beta0=beta0,
-        final_relative_residual=final_rel,
-        restarts=restarts_used,
-        s0_star=s0_star,
-        wasted_columns=wasted,
-        breakdown=breakdown,
-    )
+    step = _BlockStep(op, counter, cfg, ritz, width)
+    trace = _restarted_gmres(op, b, x0, cfg, counter, step)
+    trace.block_sizes = step.block_sizes
+    trace.cond_traces = step.cond_traces
+    trace.wasted_columns = step.wasted
+    trace.s0_star = s0_star
+    return trace

@@ -7,6 +7,7 @@ product is fixed left to right and repeated runs are bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,6 +174,8 @@ def parse_matrix_market(path) -> SparseMatrix:
             v = float(parts[2])
         except ValueError:
             _fail(lineno + 1, f"cannot parse entry '{text}'")
+        if not math.isfinite(v):
+            _fail(lineno + 1, f"non-finite value '{parts[2]}'")
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             _fail(lineno + 1, f"index ({i}, {j}) outside 1..{nrows}")
         if sym == "symmetric" and j > i:

@@ -47,6 +47,16 @@ class TestExitCodes:
         assert code == 1
         assert "diag spec" in err
 
+    def test_ilu_missing_diagonal_is_one(self, tmp_path, capsys):
+        path = tmp_path / "nodiag.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "3 3 4\n1 2 1.0\n2 2 3.0\n3 3 2.0\n2 1 1.0\n")
+        code, out, err = run_cli(
+            capsys, "--matrix", str(path), "--precond", "ilu0", "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("sstep: error:")
+        assert "row 0" in err and "diagonal" in err
+
     @pytest.mark.parametrize("solver", ["adaptive", "gmres"])
     def test_breakdown_is_two(self, tmp_path, capsys, solver):
         # singular matrix with a right hand side outside its range

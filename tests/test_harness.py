@@ -1,11 +1,13 @@
 """Reduction counter, manifest execution, file round-trips, run comparison."""
 
 import json
+import time
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sstep.harness
 from sstep import (
     ReductionCounter,
     RunManifest,
@@ -157,6 +159,17 @@ class TestRunExperiment:
         if mode == "scalar":
             # the scaling factor comes from a spectral probe of the operator
             assert res.summary["counters"]["harvest"]["spmv"] == man.initial_step
+
+    def test_setup_time_covers_matrix_build(self, tmp_path, monkeypatch):
+        build = sstep.harness.resolve_matrix
+
+        def slow_build(spec):
+            time.sleep(0.05)
+            return build(spec)
+
+        monkeypatch.setattr(sstep.harness, "resolve_matrix", slow_build)
+        res = run_experiment(small_manifest(), str(tmp_path))
+        assert res.summary["result"]["setup_time_s"] >= 0.05
 
 
 class TestLoadAndCompare:

@@ -30,6 +30,36 @@ def diag_problem(n=200, seed=42):
     return a, unit_rhs(np.random.default_rng(seed), n)
 
 
+def _forced_fallback():
+    rng = np.random.default_rng(5)
+    n = 40
+    a = SparseMatrix.from_dense(np.diag(np.linspace(1, 2, n))
+                                + 0.01 * rng.standard_normal((n, n)))
+    return a, rng.standard_normal(n), dict(initial_step=8, restart_len=n, rel_tol=1e-12)
+
+
+def _random_dense():
+    rng = np.random.default_rng(9)
+    n = 40
+    a = SparseMatrix.from_dense(rng.standard_normal((n, n)) + 6 * np.eye(n))
+    return a, rng.standard_normal(n), dict(initial_step=5, restart_len=10,
+                                           max_restarts=1, rel_tol=1e-15)
+
+
+# problems shared by several tests: name -> (matrix, rhs, SolverConfig fields)
+PROBLEMS = {
+    "forced-fallback": _forced_fallback(),
+    # the minimizer over the Krylov space of e1 is x = 0
+    "nilpotent": (SparseMatrix.from_coo(2, [0], [1], [1.0]), np.array([1.0, 0.0]),
+                  dict(initial_step=2, restart_len=4, max_restarts=1)),
+    "singular": (SparseMatrix.from_dense(np.diag([0.0, 1.0])),
+                 unit_rhs(np.random.default_rng(4), 2),
+                 dict(initial_step=3, restart_len=8, max_restarts=5)),
+    "random-dense": _random_dense(),
+    "diag-300": (*diag_problem(300), dict(initial_step=10, restart_len=40)),
+}
+
+
 class TestBaseline:
     def test_cycle_end_solution_is_krylov_optimal(self):
         rng = np.random.default_rng(61)
@@ -52,12 +82,9 @@ class TestBaseline:
         assert got == pytest.approx(best, rel=1e-8)
 
     def test_reduction_count_two_full_cycles(self):
-        rng = np.random.default_rng(9)
-        n, m = 40, 10
-        a = SparseMatrix.from_dense(rng.standard_normal((n, n)) + 6 * np.eye(n))
-        cfg = SolverConfig(basis="monomial", initial_step=5, restart_len=m,
-                           max_restarts=1, rel_tol=1e-15)
-        tr = gmres_baseline(a.matvec, rng.standard_normal(n), config=cfg)
+        a, b, kw = PROBLEMS["random-dense"]
+        m = kw["restart_len"]
+        tr = gmres_baseline(a.matvec, b, config=SolverConfig(basis="monomial", **kw))
         assert not tr.converged and tr.iterations == 2 * m
         # per iteration i: i projections plus one norm, all in the ortho phase
         want = 2 * sum(i + 1 for i in range(1, m + 1))
@@ -83,11 +110,9 @@ class TestAdaptive:
         assert gap < 1.0
 
     def test_ortho_reductions_are_four_per_block(self):
-        rng = np.random.default_rng(9)
-        n = 40
-        a = SparseMatrix.from_dense(rng.standard_normal((n, n)) + 6 * np.eye(n))
+        a, b, _ = PROBLEMS["random-dense"]
         cfg = SolverConfig(basis="monomial", initial_step=5, restart_len=20)
-        tr = adaptive_gmres(a.matvec, rng.standard_normal(n), config=cfg)
+        tr = adaptive_gmres(a.matvec, b, config=cfg)
         assert tr.converged and len(tr.block_sizes) > 1
         assert tr.counter.phase_reductions("ortho") == 4 * len(tr.block_sizes)
 
@@ -140,18 +165,30 @@ class TestAdaptive:
         assert max(tr.block_sizes) == 1
 
     def test_forced_fallback_runs_as_plain_mgs(self):
-        rng = np.random.default_rng(5)
-        n = 40
-        a = SparseMatrix.from_dense(np.diag(np.linspace(1, 2, n))
-                                    + 0.01 * rng.standard_normal((n, n)))
-        b = rng.standard_normal(n)
-        cfg = SolverConfig(basis="monomial", initial_step=8, restart_len=n,
-                           overflow_limit=1e-300, rel_tol=1e-12)
+        a, b, kw = PROBLEMS["forced-fallback"]
+        cfg = SolverConfig(basis="monomial", overflow_limit=1e-300, **kw)
         tr = adaptive_gmres(a.matvec, b, config=cfg)
         assert tr.converged
         assert tr.block_sizes == []
         assert tr.counter.phase_reductions("ortho") == 0
         assert tr.counter.get("spmv", "fallback") == tr.iterations
+
+
+@pytest.mark.parametrize("a,b,kw", list(PROBLEMS.values()), ids=list(PROBLEMS))
+def test_forced_fallback_is_the_baseline(a, b, kw):
+    # an overflow guard nothing passes sends every adaptive step down the
+    # column fallback, which must then be the baseline step for step
+    cfg = SolverConfig(basis="monomial", overflow_limit=1e-300, **kw)
+    ta = adaptive_gmres(a.matvec, b, config=cfg)
+    tb = gmres_baseline(a.matvec, b, config=cfg)
+    assert np.array_equal(ta.x, tb.x)
+    assert np.array_equal(ta.residuals, tb.residuals)
+    assert (ta.restarts, ta.breakdown, ta.converged) == (tb.restarts, tb.breakdown, tb.converged)
+    fallback = ta.counter.as_dict()["fallback"]
+    ortho = tb.counter.as_dict()["ortho"]
+    # the baseline books its operator applications to the mpk phase
+    assert fallback["spmv"] == tb.counter.get("spmv", "mpk")
+    assert {**fallback, "spmv": 0} == ortho
 
 
 class TestArnoldiRelation:
@@ -238,26 +275,36 @@ class TestEdgeBehavior:
         assert np.linalg.norm(b - a.matvec(tr.x)) <= 10 * cfg.rel_tol * r0
 
     def test_nilpotent_matrix_breaks_down_cleanly(self):
-        a = SparseMatrix.from_coo(2, [0], [1], [1.0])
-        b = np.array([1.0, 0.0])  # the minimizer over the Krylov space is x = 0
-        cfg = SolverConfig(basis="monomial", initial_step=2, restart_len=4,
-                           max_restarts=1)
+        a, b, kw = PROBLEMS["nilpotent"]
+        cfg = SolverConfig(basis="monomial", **kw)
         for solver in (adaptive_gmres, gmres_baseline):
             tr = solver(a.matvec, b, config=cfg)
             assert tr.breakdown and not tr.converged
             assert tr.final_relative_residual == 1.0
 
     def test_inconsistent_singular_system_breaks_down(self):
-        a = SparseMatrix.from_dense(np.diag([0.0, 1.0]))
-        rng = np.random.default_rng(4)
-        b = unit_rhs(rng, 2)
-        cfg = SolverConfig(basis="monomial", initial_step=3, restart_len=8,
-                           max_restarts=5)
+        a, b, kw = PROBLEMS["singular"]
+        cfg = SolverConfig(basis="monomial", **kw)
         for solver in (adaptive_gmres, gmres_baseline):
             tr = solver(a.matvec, b, config=cfg)
             assert tr.breakdown and not tr.converged
             # the reported point is never worse than where it started
             assert tr.final_relative_residual <= 1.0
+
+    @pytest.mark.parametrize("a,b,m", [
+        (PROBLEMS["nilpotent"][0], np.random.default_rng(11).standard_normal(2), 10),
+        (SparseMatrix.from_dense(np.diag([0.0, 1.0, 2.0])), np.ones(3), 4),
+    ], ids=["nilpotent", "singular"])
+    def test_exhausted_space_above_tolerance_is_not_converged(self, a, b, m):
+        # the Krylov space stops growing at a least-squares minimum far above
+        # rel_tol, so no true residual can confirm convergence
+        for solver in (adaptive_gmres, gmres_baseline):
+            tr = solver(a.matvec, b, config=SolverConfig(basis="monomial", initial_step=2,
+                                                         restart_len=m))
+            assert tr.breakdown and not tr.converged
+            rel = np.linalg.norm(b - a.matvec(tr.x)) / np.linalg.norm(b)
+            assert tr.final_relative_residual == pytest.approx(rel)
+            assert rel <= 1.0
 
     def test_loo_is_nan_when_not_tracked(self):
         a, b = diag_problem(50, 2)

@@ -135,6 +135,8 @@ class TestMatrixMarket:
         ("%%MatrixMarket matrix coordinate real general\n2 2 one\n1 1 1.0\n", 2, "integers"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", 3, "outside"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n", 3, "parse"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n", 3, "non-finite"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 -inf\n", 4, "non-finite"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", 3, "expected 2 entries"),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 3.0\n", 3, "lower triangle"),
     ])
