@@ -205,8 +205,10 @@ def default_overflow_limit() -> float:
 class KrylovBlock:
     """Output of the matrix-powers kernel.
 
-    v has ncols columns (the seed is not included).  truncated means the
-    column-norm guard cut generation short of the requested count.
+    v is n x ncols, the transpose view of a C-order array that holds one
+    generated vector per contiguous row, so v.T streams whole vectors
+    (the seed is not included).  truncated means the column-norm guard
+    cut generation short of the requested count.
     """
 
     v: np.ndarray
@@ -219,14 +221,14 @@ def matrix_powers(op, seed: np.ndarray, cob: ChangeOfBasis,
     """Generate s new Krylov columns from a seed vector via the recurrence.
 
     op is the operator as a callable (preconditioning folded in by the
-    caller).  Generation stops early when a column norm exceeds the
-    overflow guard or turns nonfinite, returning the finite prefix.
+    caller).  Each generated vector fills one row of an s x n array.
+    Generation stops early when a column norm exceeds the overflow guard
+    or turns nonfinite, returning the finite prefix.
     """
     seed = np.asarray(seed, dtype=np.float64)
-    n = len(seed)
     s = cob.s
     limit = default_overflow_limit() if overflow_limit is None else float(overflow_limit)
-    v = np.empty((n, s))
+    rows = np.empty((s, len(seed)))
     prev2: np.ndarray | None = None
     prev = seed
     for k in range(s):
@@ -236,7 +238,7 @@ def matrix_powers(op, seed: np.ndarray, cob: ChangeOfBasis,
         w /= cob.scale[k]
         nrm = float(np.linalg.norm(w))
         if not math.isfinite(nrm) or nrm > limit:
-            return KrylovBlock(np.ascontiguousarray(v[:, :k]), k, True)
-        v[:, k] = w
+            return KrylovBlock(rows[:k].T, k, True)
+        rows[k] = w
         prev2, prev = prev, w
-    return KrylovBlock(v, s, False)
+    return KrylovBlock(rows.T, s, False)

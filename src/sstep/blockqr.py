@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.blas import dtrsm
 
 from .dense import PartialCholeskyResult, partial_cholesky
 
@@ -21,7 +21,9 @@ from .dense import PartialCholeskyResult, partial_cholesky
 class BlockQrOutcome:
     """Accepted columns and coefficients from one block orthonormalization.
 
-    q_new      : n x p orthonormal columns extending the basis.
+    q_new      : n x p orthonormal columns extending the basis, the
+                 transpose view of a C-order p x n array, so q_new.T
+                 holds one new vector per contiguous row.
     r_hat      : (i + p) x (p + 1) coefficient block whose first column is
                  the unit vector for the seed and whose remaining columns
                  express the candidate block in the extended basis.
@@ -41,9 +43,9 @@ class BlockQrOutcome:
     stopped_by: str
 
 
-def _right_solve(v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """X with X R = V for upper triangular R."""
-    return sla.solve_triangular(r, v.T, trans="T", lower=False).T
+def _right_solve(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows of X with X R = V, from the rows of V, for upper triangular R."""
+    return dtrsm(1.0, r, rows.T, side=1).T
 
 
 def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
@@ -56,6 +58,10 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
     and factorization runs a second time to restore orthogonality lost
     to cancellation.  Raises BreakdownError when no column survives.
 
+    All work runs on the row-stacked transposes q.T and v.T, one vector
+    per row; they are free views when q and v are transposes of C-order
+    row arrays, as the solver passes them.
+
     counter, when given, receives the four block reduction events with
     phase 'ortho'.
     """
@@ -66,34 +72,35 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
     i = q.shape[1]
     if v.shape[1] < 1:
         raise ValueError("candidate block is empty")
+    qt, vt = q.T, v.T
 
     def count(kind):
         if counter is not None:
             counter.add(kind, "ortho")
 
     count("projections")
-    w = q.T @ v
-    v1 = v - q @ w
+    w = qt @ vt.T
+    v1 = vt - w.T @ qt
 
     count("gram_products")
-    g = v1.T @ v1
+    g = v1 @ v1.T
     pc1: PartialCholeskyResult = partial_cholesky(0.5 * (g + g.T), cond_limit, use_estimator)
     p = pc1.p
     z = pc1.r
-    q1 = _right_solve(v1[:, :p], z)
+    q1 = _right_solve(v1[:p], z)
 
     count("projections")
-    w2 = q.T @ q1
-    q2 = q1 - q @ w2
+    w2 = qt @ q1.T
+    q2 = q1 - w2.T @ qt
 
     count("gram_products")
-    g2 = q2.T @ q2
+    g2 = q2 @ q2.T
     pc2: PartialCholeskyResult = partial_cholesky(0.5 * (g2 + g2.T), cond_limit, use_estimator)
     if pc2.p < p:
         p = pc2.p
         z = np.ascontiguousarray(z[:p, :p])
     z2 = pc2.r[:p, :p]
-    q_new = _right_solve(q2[:, :p], z2)
+    q_new = _right_solve(q2[:p], z2)
 
     r_hat = np.zeros((i + p, p + 1))
     if i:
@@ -101,7 +108,7 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
         r_hat[:i, 1:] = w[:, :p] + w2[:, :p] @ z
     r_hat[i:, 1:] = z2 @ z
     return BlockQrOutcome(
-        q_new=q_new,
+        q_new=q_new.T,
         r_hat=r_hat,
         p=p,
         cond_trace=pc1.cond_trace,

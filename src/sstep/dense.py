@@ -17,6 +17,15 @@ class BreakdownError(RuntimeError):
     """Raised when a factorization or least-squares update cannot continue."""
 
 
+def negligible(value: float, k: int, scale: float) -> bool:
+    """Whether value is at roundoff level after k steps on data of size scale.
+
+    The test is |value| <= 10 k eps scale: the error a k-term sum or a
+    sweep of k projections leaves in a quantity of that size.
+    """
+    return abs(value) <= 10.0 * k * np.finfo(np.float64).eps * scale
+
+
 def svd_condition(r) -> float:
     """Spectral condition number sigma_max / sigma_min via full SVD."""
     sv = np.linalg.svd(np.asarray(r, dtype=np.float64), compute_uv=False)
@@ -230,6 +239,9 @@ class GivensLs:
         cols has shape (ncols + p + 1, p); its column t holds global
         column ncols + t of H.  Returns the residual estimate after each
         appended column, enabling convergence checks inside a block.
+        Raises BreakdownError, before changing any state for that column,
+        when a column with a zero subdiagonal entry lies in the span of
+        the columns before it up to roundoff.
         """
         cols = np.asarray(cols, dtype=np.float64)
         if cols.ndim == 1:
@@ -249,7 +261,8 @@ class GivensLs:
                 h[q + 1] = -self._sn[q] * hq + self._cs[q] * hq1
             a, b = h[j], h[j + 1]
             d = math.hypot(a, b)
-            if d == 0.0:
+            # the rotations keep the column's norm
+            if b == 0.0 and negligible(d, j + 1, math.sqrt(float(h @ h))):
                 raise BreakdownError(f"column {j} is dependent: zero after rotations")
             cs, sn = a / d, b / d
             self._cs[j], self._sn[j] = cs, sn

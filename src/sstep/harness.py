@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import RitzSet
 from .estimator import DEFAULT_GROWTH_LIMIT
 from .ilu import ilu0
 from .sparse import (
@@ -171,10 +172,15 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
     a = resolve_matrix(manifest.matrix)
     b = build_rhs(a, manifest.rhs, manifest.seed)
     counter = ReductionCounter()
+    ritz = None
     if manifest.equilibrate == "scalar":
         raw_ritz = ritz_harvest(a.matvec, b, manifest.initial_step, counter)
         alpha = float(np.max(np.abs(raw_ritz.values)))
         a_eq, eq = equilibrate(a, "scalar", alpha)
+        if manifest.precond == "none":
+            # A / alpha has the Krylov space of A and Ritz values scaled by
+            # 1 / alpha, and Leja order is invariant under a positive scale
+            ritz = RitzSet.from_values(raw_ritz.values / alpha)
     else:
         a_eq, eq = equilibrate(a, manifest.equilibrate)
     b_eq = eq.apply_rhs(b)
@@ -204,7 +210,7 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
     )
     t_solve = time.perf_counter()
     if manifest.solver == "adaptive":
-        trace = adaptive_gmres(op, rhs_sys, config=cfg, counter=counter)
+        trace = adaptive_gmres(op, rhs_sys, config=cfg, counter=counter, ritz=ritz)
     else:
         trace = gmres_baseline(op, rhs_sys, config=cfg, counter=counter)
     solve_time = time.perf_counter() - t_solve

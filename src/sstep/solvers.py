@@ -21,7 +21,7 @@ import scipy.linalg as sla
 
 from .basis import RitzSet, build_change_of_basis, matrix_powers
 from .blockqr import bcgs2_partial_cholqr
-from .dense import BreakdownError, GivensLs, hessenberg_eigenvalues
+from .dense import BreakdownError, GivensLs, hessenberg_eigenvalues, negligible
 from .estimator import DEFAULT_GROWTH_LIMIT, estimate_initial_step
 from .harness import ReductionCounter
 
@@ -116,23 +116,28 @@ def _counted(op, counter: ReductionCounter, phase: str):
 
 def _mgs_column(op, q: np.ndarray, k: int, hcol: np.ndarray,
                 counter: ReductionCounter, phase: str) -> float:
-    """One modified Gram-Schmidt step on an orthonormal basis q[:, :k].
+    """One modified Gram-Schmidt step on an orthonormal basis q[:k].
 
-    Applies op to q[:, k - 1], projects the result against q[:, :k] one
-    column at a time, and stores the k coefficients and the remaining norm
-    in hcol[:k + 1].  A nonzero norm puts the normalized vector in
-    q[:, k].  Books k projection events and one norm to phase.
+    q holds one basis vector per row.  Applies op to q[k - 1], projects
+    the result against q[:k] one row at a time, and stores the k
+    coefficients and the remaining norm in hcol[:k + 1].  A column whose
+    remaining norm is at roundoff level of ||op(q[k - 1])|| is dependent:
+    its norm is stored and returned as 0.  Otherwise the normalized vector
+    goes to q[k].  Books k projection events and one norm to phase.
     """
-    w = op(q[:, k - 1])
+    w = op(q[k - 1])
     counter.add("projections", phase, k)
     for t in range(k):
-        hcol[t] = float(q[:, t] @ w)
-        w -= hcol[t] * q[:, t]
+        hcol[t] = float(q[t] @ w)
+        w -= hcol[t] * q[t]
     counter.add("norms", phase)
     nrm = float(np.linalg.norm(w))
+    # ||op(q[k - 1])|| rebuilt from the coefficients, without a reduction
+    if negligible(nrm, k, math.sqrt(float(hcol[:k] @ hcol[:k]) + nrm * nrm)):
+        nrm = 0.0
     hcol[k] = nrm
     if nrm != 0.0:
-        q[:, k] = w / nrm
+        q[k] = w / nrm
     return nrm
 
 
@@ -161,16 +166,17 @@ class _Rows:
 class _Cycle:
     """Basis, Hessenberg matrix and least-squares state of one restart cycle.
 
-    A step extends q[:, :ncols + 1] by one or more columns, appends the
-    matching Hessenberg columns to ls and emits one trace row per column.
-    q is the solve's basis storage, overwritten column by column.
+    A step extends the basis q[:ncols + 1] by one or more vectors, appends
+    the matching Hessenberg columns to ls and emits one trace row per
+    vector.  q is the solve's basis storage, a C-order (m + 1) x n array
+    with one Krylov vector per contiguous row, overwritten row by row.
     """
 
     def __init__(self, q: np.ndarray, r: np.ndarray, beta: float, beta0: float,
                  cfg: SolverConfig, rows: _Rows):
         m = cfg.restart_len
         self.q = q
-        self.q[:, 0] = r / beta
+        self.q[0] = r / beta
         self.h = np.zeros((m + 1, m))
         self.ls = GivensLs(m, beta)
         self.loo_sq = 0.0
@@ -202,8 +208,9 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=np.float64)
     op_res = _counted(op, counter, "residual")
 
-    # one basis for all cycles: a cycle reads only the columns it wrote
-    q = np.empty((len(b), cfg.restart_len + 1))
+    # one basis for all cycles, one vector per row: a cycle reads only the
+    # rows it wrote
+    q = np.empty((cfg.restart_len + 1, len(b)))
     rows = _Rows(counter)
     beta0 = None
     converged = False
@@ -234,7 +241,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
             signal = step(cyc)
         if signal is None:
             # full cycle without a convergence signal: advance the iterate
-            x = x + cyc.q[:, : cyc.ls.ncols] @ cyc.ls.solve()
+            x = x + cyc.ls.solve() @ cyc.q[: cyc.ls.ncols]
             continue
         k, est, exhausted = signal
         if k == 0:
@@ -243,7 +250,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         # confirm against the true residual; the update is kept only when it
         # converges or improves on the cycle start, since a least-squares
         # solve that crossed a near-dependent column can hand back a worse point
-        x_new = x + cyc.q[:, :k] @ cyc.ls.solve(k)
+        x_new = x + cyc.ls.solve(k) @ cyc.q[:k]
         counter.add("true_residual_checks", "residual")
         true_nrm = float(np.linalg.norm(b - op_res(x_new)))
         counter.add("norms", "residual")
@@ -301,9 +308,9 @@ class _ColumnStep:
         nrm = _mgs_column(self.op, q, i, hcol, self.counter, self.phase)
         happy = not nrm > 0.0  # a NaN norm also ends the cycle
         if cyc.cfg.track_loo and not happy:
-            c = q[:, :i].T @ q[:, i]
+            c = q[:i] @ q[i]
             cyc.loo_sq += 2.0 * float(c @ c)
-            cyc.loo_sq += (float(q[:, i] @ q[:, i]) - 1.0) ** 2
+            cyc.loo_sq += (float(q[i] @ q[i]) - 1.0) ** 2
         try:
             est = float(ls.append(hcol)[0])
         except BreakdownError:
@@ -320,8 +327,11 @@ class _BlockStep:
     """One adaptive block: matrix powers, condition-limited block QR, Hessenberg assembly.
 
     width is the adapted block size; it shrinks to the accepted width
-    whenever the factorization truncates.  A block that yields no usable
-    column falls back to one modified Gram-Schmidt column.
+    whenever a block keeps fewer columns than it asked for, whether the
+    overflow guard, the first or the second factorization pass cut it.
+    Every candidate column a block does not keep counts as wasted.  A
+    block that yields no usable column falls back to one modified
+    Gram-Schmidt column.
     """
 
     def __init__(self, op, counter: ReductionCounter, cfg: SolverConfig,
@@ -342,14 +352,13 @@ class _BlockStep:
         s_eff = min(self.width, cfg.restart_len - i + 1)
         shifts = None if cfg.basis == "monomial" else self.ritz.cycled(s_eff)
         cob = build_change_of_basis(cfg.basis, s_eff, shifts)
-        blk = matrix_powers(self.op, q[:, i - 1], cob, cfg.overflow_limit)
-        if blk.truncated:
-            self.wasted += 1
+        blk = matrix_powers(self.op, q[i - 1], cob, cfg.overflow_limit)
+        self.wasted += s_eff - blk.ncols
         outcome = None
         if blk.ncols > 0:
             try:
                 outcome = bcgs2_partial_cholqr(
-                    q[:, :i], blk.v, cfg.cond_limit,
+                    q[:i].T, blk.v, cfg.cond_limit,
                     use_estimator=cfg.incremental_condition, counter=self.counter,
                 )
             except BreakdownError:
@@ -362,7 +371,7 @@ class _BlockStep:
         h_blk = assemble_hessenberg(outcome.r_hat, cob.dense(), cyc.h[:i, : i - 1])
         cyc.h[: i + p, i - 1 : i - 1 + p] = h_blk
         ests = ls.append(h_blk)
-        q[:, i : i + p] = outcome.q_new
+        q[i : i + p] = outcome.q_new.T
         self.block_sizes.append(p)
         self.cond_traces.append(outcome.cond_trace)
         conv_t = next((t for t in range(p) if cyc.reached(ests[t])), None)
@@ -370,14 +379,14 @@ class _BlockStep:
         if cfg.track_loo:
             # measure only the columns the emitted iterations span;
             # candidates past a convergence signal are never used
-            qn = outcome.q_new[:, :emit]
-            c = q[:, :i].T @ qn
-            d = qn.T @ qn - np.eye(emit)
+            qn = q[i : i + emit]
+            c = q[:i] @ qn.T
+            d = qn @ qn.T - np.eye(emit)
             cyc.loo_sq += 2.0 * float(np.sum(c * c)) + float(np.sum(d * d))
         loo_val = math.sqrt(cyc.loo_sq)
         for t in range(emit):
             cyc.emit(float(ests[t]), loo_val, p)
-        if outcome.stopped_by != "none":
+        if p < s_eff:
             self.width = p
         if conv_t is None:
             return None
@@ -400,8 +409,8 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
     beta = float(np.linalg.norm(rhs))
     if beta == 0.0:
         raise ValueError("cannot harvest from a zero vector")
-    q = np.empty((len(rhs), k + 1))
-    q[:, 0] = rhs / beta
+    q = np.empty((k + 1, len(rhs)))
+    q[0] = rhs / beta
     h = np.zeros((k + 1, k))
     k_eff = k
     for j in range(k):

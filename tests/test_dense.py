@@ -207,6 +207,16 @@ class TestGivensLs:
         with pytest.raises(BreakdownError, match="dependent"):
             ls.append(np.zeros(2))
 
+    def test_dependent_column_up_to_roundoff_breaks_down(self):
+        # the second column repeats the first up to one ulp and adds no new
+        # direction; the state keeps the first column only
+        ls = GivensLs(3, 1.0)
+        ls.append(np.array([1.0, 2.0]))
+        with pytest.raises(BreakdownError, match="dependent"):
+            ls.append(np.array([0.5, np.nextafter(1.0, 2.0), 0.0]))
+        assert ls.ncols == 1
+        assert ls.residual_estimate == pytest.approx(2.0 / np.sqrt(5.0))
+
     def test_guards(self):
         ls = GivensLs(2, 1.0)
         with pytest.raises(ValueError, match="maximum column"):

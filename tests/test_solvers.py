@@ -3,7 +3,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sstep.solvers
 from sstep import (
     ReductionCounter,
     RitzSet,
@@ -132,6 +135,30 @@ class TestAdaptive:
         assert len(first) == tr.block_sizes[0] + 1
         assert first[-1] > cfg.cond_limit >= first[-2]
 
+    def test_overflow_truncation_adapts_width(self, monkeypatch):
+        # the overflow guard, not the condition limit, cuts the first monomial
+        # block short; the width must adapt all the same, so that later
+        # blocks ask only for what the first one kept
+        requested, cut = [], []
+        mpk = sstep.solvers.matrix_powers
+
+        def spy(op, seed, cob, overflow_limit):
+            blk = mpk(op, seed, cob, overflow_limit)
+            requested.append(cob.s)
+            cut.append(blk.truncated)
+            return blk
+
+        monkeypatch.setattr(sstep.solvers, "matrix_powers", spy)
+        a, b = diag_problem(200, 3)
+        cfg = SolverConfig(basis="monomial", initial_step=10, restart_len=60,
+                           overflow_limit=1e3)
+        tr = adaptive_gmres(a.matvec, b, config=cfg)
+        assert tr.converged and len(tr.block_sizes) == len(requested) > 2
+        assert cut[0] and tr.block_sizes[0] < 10
+        assert requested[1] == tr.block_sizes[0]
+        # every candidate column a block asked for and did not keep is wasted
+        assert tr.wasted_columns == sum(requested) - sum(tr.block_sizes)
+
     def test_converged_run_truncates_trace_at_signal(self):
         a, b = diag_problem()
         cfg = SolverConfig(basis="monomial", initial_step=10, restart_len=100)
@@ -191,24 +218,32 @@ def test_forced_fallback_is_the_baseline(a, b, kw):
     assert {**fallback, "spmv": 0} == ortho
 
 
-class TestArnoldiRelation:
-    def compose(self, ad, b, kind, s, nblocks, ritz=None):
-        n = len(b)
-        q = np.zeros((n, 1 + s * nblocks))
-        h = np.zeros((1 + s * nblocks, s * nblocks))
-        q[:, 0] = b / np.linalg.norm(b)
-        i = 1
-        for _ in range(nblocks):
-            cob = build_change_of_basis(kind, s, ritz.cycled(s) if ritz else None)
-            blk = matrix_powers(lambda v: ad @ v, q[:, i - 1], cob)
-            out = bcgs2_partial_cholqr(q[:, :i], blk.v, 1e7)
-            p = out.p
-            h[: i + p, i - 1 : i - 1 + p] = assemble_hessenberg(
-                out.r_hat, cob.dense(), h[:i, : i - 1])
-            q[:, i : i + p] = out.q_new
-            i += p
-        return q[:, :i], h[:i, : i - 1]
+def compose_blocks(ad, b, kind, s, nblocks, ritz=None, check=None):
+    """Run nblocks s-step blocks on a row-stored basis, one vector per row.
 
+    Returns the basis rows q (k + 1 of them) and the (k + 1) x k Hessenberg;
+    check(q, hbar), when given, runs on the prefix built after every block.
+    """
+    n = len(b)
+    q = np.zeros((1 + s * nblocks, n))
+    h = np.zeros((1 + s * nblocks, s * nblocks))
+    q[0] = b / np.linalg.norm(b)
+    i = 1
+    for _ in range(nblocks):
+        cob = build_change_of_basis(kind, s, ritz.cycled(s) if ritz else None)
+        blk = matrix_powers(lambda v: ad @ v, q[i - 1], cob)
+        out = bcgs2_partial_cholqr(q[:i].T, blk.v, 1e7)
+        p = out.p
+        h[: i + p, i - 1 : i - 1 + p] = assemble_hessenberg(
+            out.r_hat, cob.dense(), h[:i, : i - 1])
+        q[i : i + p] = out.q_new.T
+        i += p
+        if check is not None:
+            check(q[:i], h[:i, : i - 1])
+    return q[:i], h[:i, : i - 1]
+
+
+class TestArnoldiRelation:
     @pytest.mark.parametrize("kind,shifts,s", [
         ("monomial", None, 4),
         ("newton", [2.0, 1.1, 1.6, 1.3], 4),
@@ -222,14 +257,56 @@ class TestArnoldiRelation:
         ad = 0.25 * rng.standard_normal((n, n)) + np.diag(rng.uniform(1, 2, n))
         b = unit_rhs(rng, n)
         ritz = RitzSet.from_values(shifts) if shifts else None
-        q, hbar = self.compose(ad, b, kind, s, 3, ritz)
+        q, hbar = compose_blocks(ad, b, kind, s, 3, ritz)
         k = hbar.shape[1]
-        gap = np.linalg.norm(ad @ q[:, :k] - q @ hbar)
+        gap = np.linalg.norm(q[:k] @ ad.T - hbar.T @ q)
         assert gap <= 1e-10 * np.linalg.norm(ad)
         # the basis stays orthonormal and the subdiagonal blocks stay positive
-        npt.assert_allclose(q.T @ q, np.eye(k + 1), atol=1e-13)
+        npt.assert_allclose(q @ q.T, np.eye(k + 1), atol=1e-13)
         assert np.all(np.diag(hbar, -1) > 0)
         assert np.max(np.abs(np.tril(hbar, -2))) == 0.0
+
+
+# Hypothesis properties: fixed example sets, so that every run checks the same
+# cases; a one-value Ritz set floors its only Newton scale factor, and warns
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+quiet_floored_scales = pytest.mark.filterwarnings("ignore:all scale factors hit the floor")
+BASES = st.sampled_from(["monomial", "newton", "scaled-newton"])
+
+
+def random_problem(seed, n):
+    """A nonsymmetric n x n matrix whose spectrum lies near the disk |z - 2| <= 1."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n), unit_rhs(rng, n)
+
+
+@quiet_floored_scales
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40), basis=BASES, s=st.integers(1, 8))
+def test_arnoldi_relation_after_every_block(seed, n, basis, s):
+    ad, b = random_problem(seed, n)
+    ritz = None if basis == "monomial" else ritz_harvest(lambda v: ad @ v, b, s)
+    norm_a = np.linalg.norm(ad)
+
+    def check(q, hbar):
+        k = hbar.shape[1]
+        assert np.linalg.norm(q[:k] @ ad.T - hbar.T @ q) <= 1e-10 * norm_a
+        npt.assert_allclose(q @ q.T, np.eye(k + 1), atol=1e-13)
+
+    # past n - 1 columns the block QR must cut the dependent candidates
+    q, _ = compose_blocks(ad, b, basis, s, max(1, min(3, (n - 1) // s)), ritz, check)
+    assert len(q) > 1
+
+
+@quiet_floored_scales
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40), basis=BASES, s=st.integers(1, 8),
+       extra=st.integers(0, 16))
+def test_ortho_reductions_are_four_per_block_on_random_problems(seed, n, basis, s, extra):
+    ad, b = random_problem(seed, n)
+    cfg = SolverConfig(basis=basis, initial_step=s, restart_len=s + extra, max_restarts=3)
+    tr = adaptive_gmres(SparseMatrix.from_dense(ad).matvec, b, config=cfg)
+    assert tr.counter.phase_reductions("ortho") == 4 * len(tr.block_sizes)
 
 
 class TestEdgeBehavior:
@@ -305,6 +382,16 @@ class TestEdgeBehavior:
             rel = np.linalg.norm(b - a.matvec(tr.x)) / np.linalg.norm(b)
             assert tr.final_relative_residual == pytest.approx(rel)
             assert rel <= 1.0
+
+    def test_roundoff_dependent_column_is_dependent(self):
+        # K_3(A, b) is all of R^3, so the fourth column is dependent up to
+        # roundoff; A is singular and the least-squares minimum over R^3 is
+        # |b_1| / ||b|| = 1 / sqrt(3)
+        a = SparseMatrix.from_dense(np.diag([0.0, 1.0, 2.0]))
+        tr = gmres_baseline(a.matvec, np.ones(3),
+                            config=SolverConfig(basis="monomial", initial_step=2, restart_len=5))
+        assert tr.breakdown and not tr.converged
+        assert tr.final_relative_residual == pytest.approx(1.0 / np.sqrt(3.0))
 
     def test_loo_is_nan_when_not_tracked(self):
         a, b = diag_problem(50, 2)
