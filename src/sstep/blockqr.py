@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .dense import PartialCholeskyResult, partial_cholesky
+from .dense import BreakdownError, PartialCholeskyResult, negligible, partial_cholesky
 
 
 @dataclass
@@ -32,7 +32,9 @@ class BlockQrOutcome:
                  signal; includes the first rejected column when the stop
                  was the condition limit).
     cond_trace_second : second-pass condition values.
-    stopped_by : first-pass stop reason: 'none', 'condition', or 'pivot'.
+    stopped_by : first-pass stop reason: 'none', 'condition', or 'pivot'
+                 (a pivot stop includes a candidate left at roundoff
+                 level by the projection).
     """
 
     q_new: np.ndarray
@@ -44,8 +46,11 @@ class BlockQrOutcome:
 
 
 def _right_solve(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows of X with X R = V, from the rows of V, for upper triangular R."""
-    return dtrsm(1.0, r, rows.T, side=1).T
+    """Rows of X with X R = V, from the rows of V, for upper triangular R.
+
+    Overwrites rows when they are C-contiguous.
+    """
+    return dtrsm(1.0, r, rows.T, side=1, overwrite_b=True).T
 
 
 def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
@@ -56,7 +61,9 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
     candidates are projected off q, factored by the condition-limited
     Cholesky (keeping p columns), normalized, then the whole projection
     and factorization runs a second time to restore orthogonality lost
-    to cancellation.  Raises BreakdownError when no column survives.
+    to cancellation.  A candidate whose projected norm is at roundoff
+    level against its own norm ends the accepted prefix and is recorded
+    as a pivot stop.  Raises BreakdownError when no column survives.
 
     All work runs on the row-stacked transposes q.T and v.T, one vector
     per row; they are free views when q and v are transposes of C-order
@@ -78,20 +85,34 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
         if counter is not None:
             counter.add(kind, "ortho")
 
+    # each temporary below is as large as the candidate block, so the
+    # projections subtract into the product and the solves overwrite
     count("projections")
     w = qt @ vt.T
-    v1 = vt - w.T @ qt
+    v1 = w.T @ qt
+    np.subtract(vt, v1, out=v1)
+    # the candidates' own norms ride on the same reduction
+    before = np.sqrt(np.einsum("ij,ij->i", vt, vt))
 
     count("gram_products")
     g = v1 @ v1.T
+    # a candidate that the projection leaves at roundoff level lies in
+    # span(q): it and the candidates after it are dropped, as at a pivot stop
+    noise = negligible(np.sqrt(np.diag(g)), i, before)
+    keep = int(np.argmax(noise)) if noise.any() else len(noise)
+    if keep == 0:
+        raise BreakdownError("no columns accepted: the first candidate lies in span(q)")
+    g = g[:keep, :keep]
     pc1: PartialCholeskyResult = partial_cholesky(0.5 * (g + g.T), cond_limit, use_estimator)
     p = pc1.p
+    stopped_by = "pivot" if pc1.stopped_by == "none" and keep < len(noise) else pc1.stopped_by
     z = pc1.r
     q1 = _right_solve(v1[:p], z)
 
     count("projections")
     w2 = qt @ q1.T
-    q2 = q1 - w2.T @ qt
+    q2 = w2.T @ qt
+    np.subtract(q1, q2, out=q2)
 
     count("gram_products")
     g2 = q2 @ q2.T
@@ -113,5 +134,5 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
         p=p,
         cond_trace=pc1.cond_trace,
         cond_trace_second=pc2.cond_trace,
-        stopped_by=pc1.stopped_by,
+        stopped_by=stopped_by,
     )

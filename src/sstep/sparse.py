@@ -48,11 +48,14 @@ class SparseMatrix:
             raise ValueError("indices and data length mismatch")
         if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.n):
             raise ValueError("column index out of range")
-        # strictly increasing columns per row also rules out duplicates
-        for i in range(self.n):
-            cols = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if len(cols) > 1 and np.any(np.diff(cols) <= 0):
-                raise ValueError(f"row {i}: column indices not strictly increasing")
+        # strictly increasing columns per row also rules out duplicates; the
+        # pair (p, p + 1) spans two rows when p + 1 starts a row
+        bad = np.diff(self.indices) <= 0
+        starts = self.indptr[1:-1]
+        bad[starts[(starts > 0) & (starts < len(self.indices))] - 1] = False
+        if bad.any():
+            i = int(np.searchsorted(self.indptr, np.argmax(bad), side="right")) - 1
+            raise ValueError(f"row {i}: column indices not strictly increasing")
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":

@@ -110,6 +110,33 @@ class TestIllConditioned:
         with pytest.raises(BreakdownError):
             bcgs2_partial_cholqr(q, v, 1e7)
 
+    def test_roundoff_candidate_ends_prefix_as_pivot_stop(self):
+        # the third candidate lies in span(q) up to roundoff: the first two
+        # are kept, the stop is recorded like a pivot stop, and it costs
+        # no extra reduction
+        rng = np.random.default_rng(48)
+        n = 40
+        q = ortho_basis(rng, n, 3)
+        v = rng.standard_normal((n, 4))
+        v[:, 2] = q @ rng.standard_normal(3)
+        counter = ReductionCounter()
+        out = bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
+        assert out.p == 2 and out.stopped_by == "pivot"
+        assert len(out.cond_trace) == 2
+        assert counter.phase_reductions("ortho") == 4
+        full = bcgs2_partial_cholqr(q, v[:, :2], 1e7)
+        npt.assert_array_equal(out.q_new, full.q_new)
+        npt.assert_array_equal(out.r_hat, full.r_hat)
+
+    def test_first_candidate_in_span_breaks_down_after_first_pass(self):
+        rng = np.random.default_rng(49)
+        q = ortho_basis(rng, 40, 3)
+        v = np.column_stack([q @ rng.standard_normal(3), rng.standard_normal(40)])
+        counter = ReductionCounter()
+        with pytest.raises(BreakdownError, match="span"):
+            bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
+        assert counter.phase_reductions("ortho") == 2
+
 
 class TestGuards:
     def test_shape_mismatch(self):

@@ -163,6 +163,14 @@ class TestRunExperiment:
             # whose Ritz values the solver reuses instead of harvesting again
             assert res.summary["counters"]["harvest"]["spmv"] == man.initial_step
 
+    def test_column_equilibrated_identity_keeps_no_noise_columns(self, tmp_path):
+        # column equilibration turns diag(d) into I, so every candidate of
+        # the first block lies in span(q_0) and none may become a basis vector
+        res = run_experiment(RunManifest(matrix="diag:300:0.1:1000.0", equilibrate="column"),
+                             str(tmp_path))
+        out = res.summary["result"]
+        assert out["converged"] and out["block_sizes"] == [] and out["wasted_columns"] == 10
+
     def test_setup_time_covers_matrix_build(self, tmp_path, monkeypatch):
         build = sstep.harness.resolve_matrix
 

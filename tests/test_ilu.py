@@ -4,8 +4,148 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from sstep import SparseMatrix, ZeroPivotError, gen_laplace2d, ilu0
+
+
+def reference_ilu0(a: SparseMatrix):
+    """ILU(0) by the row-by-row IKJ loop: the L and U factors in CSR form.
+
+    This is the loop the level-scheduled factorization replaced; it must
+    give the same factors bit for bit and stop at the same zero pivot.
+    """
+    n = a.n
+    indptr, indices = a.indptr, a.indices
+    luval = a.data.copy()
+
+    diag_pos = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        s, e = indptr[i], indptr[i + 1]
+        p = s + np.searchsorted(indices[s:e], i)
+        if p == e or indices[p] != i:
+            raise ZeroPivotError(f"row {i}: diagonal entry missing from sparsity pattern")
+        diag_pos[i] = p
+
+    for i in range(n):
+        s, e = indptr[i], indptr[i + 1]
+        cols_i = indices[s:e]
+        dpos = diag_pos[i]
+        for pos in range(s, dpos):
+            k = cols_i[pos - s]
+            ukk = luval[diag_pos[k]]
+            if ukk == 0.0:
+                raise ZeroPivotError(f"row {k}: zero pivot")
+            lik = luval[pos] / ukk
+            luval[pos] = lik
+            ks, ke = diag_pos[k] + 1, indptr[k + 1]
+            if ks < ke:
+                ucols = indices[ks:ke]
+                # positions of row k's upper columns inside row i's pattern
+                idx = np.searchsorted(cols_i, ucols)
+                idx_c = np.minimum(idx, len(cols_i) - 1)
+                match = (idx < len(cols_i)) & (cols_i[idx_c] == ucols)
+                if match.any():
+                    luval[s + idx[match]] -= lik * luval[ks:ke][match]
+
+    zero_diag = np.nonzero(luval[diag_pos] == 0.0)[0]
+    if len(zero_diag):
+        raise ZeroPivotError(f"row {zero_diag[0]}: zero pivot")
+
+    rowidx = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    low = indices < rowidx
+    upp = ~low
+    eye = np.arange(n, dtype=np.int64)
+    l_factor = sp.csr_matrix(
+        (np.concatenate([luval[low], np.ones(n)]),
+         (np.concatenate([rowidx[low], eye]), np.concatenate([indices[low], eye]))),
+        shape=(n, n),
+    )
+    u_factor = sp.csr_matrix((luval[upp], (rowidx[upp], indices[upp])), shape=(n, n))
+    l_factor.sort_indices()
+    u_factor.sort_indices()
+    return l_factor, u_factor
+
+
+def random_pattern(seed, n, density, no_lower=0.0):
+    """Nonsymmetric random sparse matrix with a dominant diagonal.
+
+    A share no_lower of the rows (and always row 0) keeps no entry left
+    of the diagonal.
+    """
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    bare = rng.random(n) < no_lower
+    d[np.tril(np.ones((n, n), dtype=bool), -1) & bare[:, None]] = 0.0
+    np.fill_diagonal(d, np.abs(d).sum(axis=1) + 1.0)
+    return SparseMatrix.from_dense(d)
+
+
+def chain(n):
+    """Tridiagonal matrix: each row waits on the one before it."""
+    i = np.arange(n)
+    return SparseMatrix.from_coo(n, np.r_[i, i[1:], i[:-1]], np.r_[i, i[:-1], i[1:]],
+                                 np.r_[np.full(n, 4.0), np.full(2 * n - 2, -1.0)])
+
+
+def assert_same_bytes(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+ORACLE_CASES = {
+    **{f"random-{seed}": random_pattern(seed, 60 + 20 * seed, 0.08) for seed in range(5)},
+    "no-lower-rows": random_pattern(11, 150, 0.05, no_lower=0.3),
+    "chain": chain(400),
+    "lap2d-30": gen_laplace2d(30),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_factors_are_bitwise_those_of_the_row_loop(name):
+    a = ORACLE_CASES[name]
+    want_l, want_u = reference_ilu0(a)
+    # no explicit zeros, which the SuperLU form drops
+    assert np.all(want_l.data != 0) and np.all(want_u.data != 0)
+    fac = ilu0(a)
+    assert_same_bytes(fac.l_factor, want_l)
+    assert_same_bytes(fac.u_factor, want_u)
+
+
+def _csr(n, rows):
+    """SparseMatrix from {row: {col: value}}, keeping explicit zeros."""
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        entry = rows.get(i, {i: 1.0})
+        indices += sorted(entry)
+        data += [entry[c] for c in sorted(entry)]
+        indptr.append(len(indices))
+    return SparseMatrix(n, indptr, indices, data)
+
+
+ERROR_CASES = {
+    # row 3's pivot is 0.5 - 0.5 * 1 = 0; row 4 uses it
+    "interior-zero-pivot": _csr(6, {2: {2: 2.0, 3: 1.0}, 3: {2: 1.0, 3: 0.5, 4: 1.0},
+                                    4: {3: 1.0, 4: 3.0}}),
+    # the same zero pivot, but no later row uses it
+    "unused-zero-pivot": _csr(6, {2: {2: 2.0, 3: 1.0}, 3: {2: 1.0, 3: 0.5}}),
+    # rows 3 and 5 have zero pivots; row 6 uses row 5 before row 7 uses row 3
+    "first-use-names-later-row": _csr(8, {3: {3: 0.0}, 5: {5: 0.0}, 6: {5: 1.0, 6: 2.0},
+                                          7: {3: 1.0, 7: 2.0}}),
+    "missing-interior-diagonal": _csr(5, {2: {1: 1.0, 3: 1.0}}),
+}
+
+
+@pytest.mark.parametrize("name", ERROR_CASES)
+def test_zero_pivot_messages_match_the_row_loop(name):
+    a = ERROR_CASES[name]
+    with pytest.raises(ZeroPivotError) as want:
+        reference_ilu0(a)
+    with pytest.raises(ZeroPivotError) as got:
+        ilu0(a)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) != "row 0: zero pivot"
 
 
 def test_tridiagonal_equals_exact_lu():
@@ -32,14 +172,28 @@ def test_residual_vanishes_on_pattern():
     assert np.max(np.abs(gap)) > 0.01  # fill-in outside the pattern was dropped
 
 
-def test_solve_matches_dense_triangular_oracle():
+@pytest.mark.parametrize("a", [gen_laplace2d(5), random_pattern(21, 120, 0.06)],
+                         ids=["lap2d-5", "random-nonsymmetric"])
+def test_solve_matches_dense_triangular_oracle(a):
     rng = np.random.default_rng(7)
-    a = gen_laplace2d(5)
     fac = ilu0(a)
-    r = rng.standard_normal(25)
+    r = rng.standard_normal(a.n)
     y = sla.solve_triangular(fac.l_factor.toarray(), r, lower=True, unit_diagonal=True)
     want = sla.solve_triangular(fac.u_factor.toarray(), y, lower=False)
     npt.assert_allclose(fac.solve(r), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [gen_laplace2d(12), random_pattern(22, 200, 0.04, no_lower=0.1)],
+                         ids=["lap2d-12", "random-nonsymmetric"])
+def test_superlu_keeps_factors_unpermuted_without_fill(a):
+    fac = ilu0(a)
+    n = a.n
+    for lu, factor in ((fac.l_lu, fac.l_factor), (fac.u_lu, fac.u_factor)):
+        npt.assert_array_equal(lu.perm_r, np.arange(n))
+        npt.assert_array_equal(lu.perm_c, np.arange(n))
+        # the other triangle is the identity, so nothing was added
+        assert lu.L.nnz + lu.U.nnz == factor.nnz + n
+    assert fac.l_factor.nnz + fac.u_factor.nnz == a.nnz + n
 
 
 def test_l_unit_lower_u_upper():

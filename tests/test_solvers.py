@@ -1,5 +1,7 @@
 """Both solver drivers: correctness, adaptation, accounting, edge behavior."""
 
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import sstep.solvers
 from sstep import (
+    BreakdownError,
     ReductionCounter,
     RitzSet,
     SolverConfig,
@@ -305,8 +308,20 @@ def test_arnoldi_relation_after_every_block(seed, n, basis, s):
 def test_ortho_reductions_are_four_per_block_on_random_problems(seed, n, basis, s, extra):
     ad, b = random_problem(seed, n)
     cfg = SolverConfig(basis=basis, initial_step=s, restart_len=s + extra, max_restarts=3)
-    tr = adaptive_gmres(SparseMatrix.from_dense(ad).matvec, b, config=cfg)
-    assert tr.counter.phase_reductions("ortho") == 4 * len(tr.block_sizes)
+    broken = []
+
+    def block_qr(*args, **kwargs):
+        try:
+            return bcgs2_partial_cholqr(*args, **kwargs)
+        except BreakdownError:
+            broken.append(True)
+            raise
+
+    with mock.patch.object(sstep.solvers, "bcgs2_partial_cholqr", block_qr):
+        tr = adaptive_gmres(SparseMatrix.from_dense(ad).matvec, b, config=cfg)
+    # a block that keeps no column (past an exhausted Krylov space) stops
+    # after the two events of its first pass and falls back
+    assert tr.counter.phase_reductions("ortho") == 4 * len(tr.block_sizes) + 2 * len(broken)
 
 
 class TestEdgeBehavior:
@@ -319,6 +334,10 @@ class TestEdgeBehavior:
             tr = solver(a.matvec, b, config=cfg)
             assert tr.converged and tr.iterations == 1
             npt.assert_allclose(tr.x, b, rtol=0, atol=1e-15)
+            if solver is adaptive_gmres:
+                # every candidate A^j q_0 = q_0 lies in span(q_0): the block
+                # keeps none of them and the fallback column ends the cycle
+                assert tr.block_sizes == [] and tr.wasted_columns == 3
 
     def test_zero_rhs_is_trivially_converged(self):
         a, _ = diag_problem(20)
@@ -386,12 +405,16 @@ class TestEdgeBehavior:
     def test_roundoff_dependent_column_is_dependent(self):
         # K_3(A, b) is all of R^3, so the fourth column is dependent up to
         # roundoff; A is singular and the least-squares minimum over R^3 is
-        # |b_1| / ||b|| = 1 / sqrt(3)
+        # |b_1| / ||b|| = 1 / sqrt(3).  The adaptive solver's second block
+        # holds only candidates in span(Q), so it falls back and stops there too
         a = SparseMatrix.from_dense(np.diag([0.0, 1.0, 2.0]))
-        tr = gmres_baseline(a.matvec, np.ones(3),
-                            config=SolverConfig(basis="monomial", initial_step=2, restart_len=5))
-        assert tr.breakdown and not tr.converged
-        assert tr.final_relative_residual == pytest.approx(1.0 / np.sqrt(3.0))
+        cfg = SolverConfig(basis="monomial", initial_step=2, restart_len=5)
+        for solver in (adaptive_gmres, gmres_baseline):
+            tr = solver(a.matvec, np.ones(3), config=cfg)
+            assert tr.breakdown and not tr.converged
+            assert tr.final_relative_residual == pytest.approx(1.0 / np.sqrt(3.0))
+            if solver is adaptive_gmres:
+                assert tr.block_sizes == [2]
 
     def test_loo_is_nan_when_not_tracked(self):
         a, b = diag_problem(50, 2)

@@ -62,6 +62,33 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="strictly increasing"):
             SparseMatrix(2, [0, 2, 2], [1, 0], [1.0, 2.0])
 
+    def test_validation_names_middle_row_with_decreasing_pair(self):
+        # row 1 holds 2, 1; the pair 3 | 0 across the rows 0 and 1 is allowed
+        with pytest.raises(ValueError, match=r"^row 1: column indices not strictly increasing$"):
+            SparseMatrix(4, [0, 2, 4, 5, 6], [0, 3, 2, 1, 0, 3], np.ones(6))
+
+    def test_validation_names_last_row_with_duplicate_column(self):
+        with pytest.raises(ValueError, match=r"^row 2: column indices not strictly increasing$"):
+            SparseMatrix(3, [0, 1, 2, 4], [2, 0, 1, 1], np.ones(4))
+
+    @pytest.mark.parametrize("indptr,indices", [
+        ([0, 0, 2, 2, 3, 3], [0, 4, 0]),  # rows 0, 2 and 4 empty
+        ([0, 0, 0, 0, 0, 0], []),  # every row empty
+        ([0, 3, 3, 3, 3, 3], [0, 2, 4]),  # all but the first row empty
+    ])
+    def test_validation_accepts_empty_rows(self, indptr, indices):
+        a = SparseMatrix(5, indptr, indices, np.ones(len(indices)))
+        assert a.nnz == len(indices)
+
+    @pytest.mark.parametrize("indptr,indices,row", [
+        ([0, 0, 2, 2, 4, 4], [1, 3, 3, 3], 3),  # empty rows around the bad row
+        ([0, 0, 0, 0, 0, 2], [1, 1], 4),  # the bad row follows four empty ones
+        ([0, 2, 2, 2, 2, 2], [2, 2], 0),  # the bad row is followed by empty ones
+    ])
+    def test_validation_names_bad_row_among_empty_rows(self, indptr, indices, row):
+        with pytest.raises(ValueError, match=rf"^row {row}: "):
+            SparseMatrix(5, indptr, indices, np.ones(len(indices)))
+
     def test_validation_rejects_bad_indptr(self):
         with pytest.raises(ValueError, match="indptr"):
             SparseMatrix(2, [0, 1], [0], [1.0])
