@@ -31,6 +31,7 @@ from .harness import (
     RunComparison,
     RunManifest,
     RunResult,
+    SolverConfig,
     build_rhs,
     compare_runs,
     load_run,
@@ -40,7 +41,6 @@ from .harness import (
 from .ilu import ILU0, ZeroPivotError, ilu0
 from .solvers import (
     SolveTrace,
-    SolverConfig,
     adaptive_gmres,
     assemble_hessenberg,
     gmres_baseline,

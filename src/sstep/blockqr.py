@@ -31,7 +31,6 @@ class BlockQrOutcome:
     cond_trace : first-pass per-column condition values (the adaptation
                  signal; includes the first rejected column when the stop
                  was the condition limit).
-    cond_trace_second : second-pass condition values.
     stopped_by : first-pass stop reason: 'none', 'condition', or 'pivot'
                  (a pivot stop includes a candidate left at roundoff
                  level by the projection).
@@ -41,7 +40,6 @@ class BlockQrOutcome:
     r_hat: np.ndarray
     p: int
     cond_trace: np.ndarray
-    cond_trace_second: np.ndarray
     stopped_by: str
 
 
@@ -53,8 +51,7 @@ def _right_solve(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
     return dtrsm(1.0, r, rows.T, side=1, overwrite_b=True).T
 
 
-def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
-                         counter=None) -> BlockQrOutcome:
+def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcome:
     """Orthonormalize candidate columns v against basis q and each other.
 
     q is n x i with orthonormal columns (i may be 0), v is n x s.  The
@@ -103,7 +100,7 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
     if keep == 0:
         raise BreakdownError("no columns accepted: the first candidate lies in span(q)")
     g = g[:keep, :keep]
-    pc1: PartialCholeskyResult = partial_cholesky(0.5 * (g + g.T), cond_limit, use_estimator)
+    pc1: PartialCholeskyResult = partial_cholesky(0.5 * (g + g.T), cond_limit)
     p = pc1.p
     stopped_by = "pivot" if pc1.stopped_by == "none" and keep < len(noise) else pc1.stopped_by
     z = pc1.r
@@ -116,7 +113,7 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
 
     count("gram_products")
     g2 = q2 @ q2.T
-    pc2: PartialCholeskyResult = partial_cholesky(0.5 * (g2 + g2.T), cond_limit, use_estimator)
+    pc2: PartialCholeskyResult = partial_cholesky(0.5 * (g2 + g2.T), cond_limit)
     if pc2.p < p:
         p = pc2.p
         z = np.ascontiguousarray(z[:p, :p])
@@ -133,6 +130,5 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, use_estimator: bool = True,
         r_hat=r_hat,
         p=p,
         cond_trace=pc1.cond_trace,
-        cond_trace_second=pc2.cond_trace,
         stopped_by=stopped_by,
     )

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 
 from .dense import BreakdownError
-from .estimator import DEFAULT_GROWTH_LIMIT
-from .harness import RunManifest, run_experiment
+from .harness import CHOICES, RunManifest, run_experiment
 from .ilu import ZeroPivotError
 
 
@@ -24,61 +24,58 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# (flag, RunManifest field, help); defaults come from the dataclass, allowed
+# values from CHOICES, and a bool field takes on/off
+FLAGS = (
+    ("--matrix", "matrix",
+     "Matrix Market file, or generator spec diag:n:lo:hi | lap2d:n | lap3d:n"),
+    ("--solver", "solver", "column-at-a-time baseline or the adaptive block solver"),
+    ("--basis", "basis", "basis recurrence for the block solver"),
+    ("--s0", "initial_step", "starting block size"),
+    ("--omega", "cond_limit", "condition limit enforced by the block factorization"),
+    ("--omega-est", "growth_limit", "growth threshold for the a priori step-size estimate"),
+    ("--estimator", "use_step_estimator", "cap the starting block size with the a priori estimate"),
+    ("--restart", "restart_len", "Krylov columns per cycle"),
+    ("--max-restarts", "max_restarts", "extra cycles allowed after the first"),
+    ("--tol", "rel_tol", "relative residual convergence target"),
+    ("--precond", "precond", None),
+    ("--equilibrate", "equilibrate", None),
+    ("--loo", "track_loo", "record basis orthogonality loss per iteration"),
+    ("--rhs", "rhs", "b = A @ ones, or a seeded random unit vector"),
+    ("--seed", "seed", "seed for the random rhs"),
+)
+
+_DEFAULTS = {f.name: f.default for f in fields(RunManifest)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="sstep",
         description="Run one GMRES experiment and write a per-iteration CSV plus a JSON summary.",
     )
-    p.add_argument("--matrix", required=True,
-                   help="Matrix Market file, or generator spec diag:n:lo:hi | lap2d:n | lap3d:n")
-    p.add_argument("--solver", choices=("gmres", "adaptive"), default="adaptive",
-                   help="column-at-a-time baseline or the adaptive block solver")
-    p.add_argument("--basis", choices=("monomial", "newton", "scaled-newton"),
-                   default="monomial", help="basis recurrence for the block solver")
-    p.add_argument("--s0", type=int, default=10, help="starting block size")
-    p.add_argument("--omega", type=float, default=1e7,
-                   help="condition limit enforced by the block factorization")
-    p.add_argument("--omega-est", type=float, default=DEFAULT_GROWTH_LIMIT,
-                   help="growth threshold for the a priori step-size estimate")
-    p.add_argument("--estimator", choices=("on", "off"), default="off",
-                   help="cap the starting block size with the a priori estimate")
-    p.add_argument("--restart", type=int, default=100, help="Krylov columns per cycle")
-    p.add_argument("--max-restarts", type=int, default=10,
-                   help="extra cycles allowed after the first")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative residual convergence target")
-    p.add_argument("--precond", choices=("none", "ilu0"), default="none")
-    p.add_argument("--equilibrate", choices=("none", "scalar", "column"), default="none")
-    p.add_argument("--loo", choices=("on", "off"), default="off",
-                   help="record basis orthogonality loss per iteration")
-    p.add_argument("--rhs", choices=("ones", "random"), default="ones",
-                   help="b = A @ ones, or a seeded random unit vector")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random rhs")
+    for flag, name, text in FLAGS:
+        default = _DEFAULTS[name]
+        if default is MISSING:
+            p.add_argument(flag, required=True, help=text)
+        elif name in CHOICES:
+            p.add_argument(flag, choices=CHOICES[name], default=default, help=text)
+        elif isinstance(default, bool):
+            p.add_argument(flag, choices=("on", "off"), default="on" if default else "off",
+                           help=text)
+        else:
+            p.add_argument(flag, type=type(default), default=default, help=text)
     p.add_argument("--out", default=".", help="directory for the CSV and JSON files")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        matrix=args.matrix,
-        solver=args.solver,
-        basis=args.basis,
-        initial_step=args.s0,
-        restart_len=args.restart,
-        max_restarts=args.max_restarts,
-        rel_tol=args.tol,
-        cond_limit=args.omega,
-        growth_limit=args.omega_est,
-        use_step_estimator=args.estimator == "on",
-        precond=args.precond,
-        equilibrate=args.equilibrate,
-        track_loo=args.loo == "on",
-        rhs=args.rhs,
-        seed=args.seed,
-    )
+    kwargs = {}
+    for flag, name, _ in FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        kwargs[name] = value == "on" if isinstance(_DEFAULTS[name], bool) else value
     try:
-        result = run_experiment(manifest, args.out)
+        result = run_experiment(RunManifest(**kwargs), args.out)
     except (ValueError, OSError) as exc:
         print(f"sstep: error: {exc}", file=sys.stderr)
         return 1

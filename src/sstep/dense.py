@@ -138,7 +138,7 @@ class PartialCholeskyResult:
     stopped_by: str
 
 
-def partial_cholesky(g, cond_limit: float, use_estimator: bool = True) -> PartialCholeskyResult:
+def partial_cholesky(g, cond_limit: float) -> PartialCholeskyResult:
     """Factor the largest well-conditioned leading block of a Gram matrix.
 
     Columns are processed left to right.  Column j is accepted only while
@@ -148,8 +148,8 @@ def partial_cholesky(g, cond_limit: float, use_estimator: bool = True) -> Partia
     accepted prefix are bitwise identical whatever comes after it, because
     column j touches only g[:j+1, :j+1].
 
-    With use_estimator the condition values come from the incremental
-    estimator; otherwise each prefix is measured exactly by SVD.
+    The condition values come from the incremental ConditionEstimator,
+    which never exceeds the exact value svd_condition measures.
 
     Raises BreakdownError if no column is accepted.
     """
@@ -165,7 +165,7 @@ def partial_cholesky(g, cond_limit: float, use_estimator: bool = True) -> Partia
 
     r = np.zeros((s, s))
     trace = []
-    est = ConditionEstimator() if use_estimator else None
+    est = ConditionEstimator()
     p = s
     stopped = "none"
     first_pivot = 0.0
@@ -180,11 +180,7 @@ def partial_cholesky(g, cond_limit: float, use_estimator: bool = True) -> Partia
             p, stopped = j, "pivot"
             break
         rjj = math.sqrt(piv)
-        if use_estimator:
-            kappa = est.update(col.copy(), rjj)
-        else:
-            r[j, j] = rjj
-            kappa = svd_condition(r[: j + 1, : j + 1])
+        kappa = est.update(col, rjj)
         trace.append(kappa)
         if kappa > cond_limit:
             p, stopped = j, "condition"

@@ -36,17 +36,6 @@ class StepEstimate:
     col_norms: np.ndarray
     log_growth: np.ndarray
 
-    @property
-    def growth(self) -> np.ndarray:
-        """Growth matrix in direct form; huge entries overflow to inf."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_growth)
-
-    @property
-    def growth_lower(self) -> np.ndarray:
-        """Strictly lower triangular part, a useful diagnostic view."""
-        return np.tril(self.growth, -1)
-
 
 def estimate_initial_step(values, growth_limit: float = DEFAULT_GROWTH_LIMIT,
                           eps_model: float = DEFAULT_EPS_MODEL) -> StepEstimate:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,41 +68,47 @@ class ReductionCounter:
         """Operator applications outside the harvest phase."""
         return self.kind_total("spmv") - self._counts["harvest"]["spmv"]
 
-    @property
-    def gram_products(self) -> int:
-        return self.kind_total("gram_products")
-
-    @property
-    def projections(self) -> int:
-        return self.kind_total("projections")
-
-    @property
-    def norms(self) -> int:
-        return self.kind_total("norms")
-
-    @property
-    def true_residual_checks(self) -> int:
-        return self.kind_total("true_residual_checks")
-
-    @property
-    def spmv_count(self) -> int:
-        return self.kind_total("spmv")
-
     def as_dict(self) -> dict:
         return {ph: dict(self._counts[ph]) for ph in PHASES}
 
 
-@dataclass
-class RunManifest:
-    """One experiment: problem, solver, and output identity.
+# the allowed values of every choice setting; validation and the CLI read them
+CHOICES = {
+    "solver": ("gmres", "adaptive"),
+    "basis": ("monomial", "newton", "scaled-newton"),
+    "precond": ("none", "ilu0"),
+    "equilibrate": ("none", "scalar", "column"),
+    "rhs": ("ones", "random"),
+}
 
-    matrix accepts a Matrix Market path or a generator spec:
-    'diag:n:lo:hi', 'lap2d:n', 'lap3d:n'.  rhs 'ones' solves against
-    b = A @ ones; 'random' against a seeded random unit vector.
+
+def _check_choice(obj, name: str):
+    value = getattr(obj, name)
+    if value not in CHOICES[name]:
+        raise ValueError(f"unknown {name} '{value}'")
+
+
+@dataclass(kw_only=True)
+class SolverConfig:
+    """Knobs shared by both solvers; block-specific fields are ignored by the baseline.
+
+    basis            : basis recurrence, one of CHOICES['basis'].
+    initial_step     : starting block size s0.
+    restart_len      : Krylov columns per cycle.
+    max_restarts     : extra cycles allowed after the first.
+    rel_tol          : convergence target for the relative residual.
+    cond_limit       : condition bound the block factorization enforces.
+    growth_limit     : threshold for the a priori step-size estimate.
+    use_step_estimator : when True, harvest shifts and cap the starting
+                       block size at the estimate's recommendation.
+    track_loo        : record basis orthogonality loss per iteration
+                       (diagnostic only, never counted as reductions).
+    overflow_limit   : column-norm guard for basis generation
+                       (None picks the default).
+
+    Infinite cond_limit and growth_limit mean no limit.
     """
 
-    matrix: str
-    solver: str = "adaptive"
     basis: str = "monomial"
     initial_step: int = 10
     restart_len: int = 100
@@ -111,22 +117,52 @@ class RunManifest:
     cond_limit: float = 1e7
     growth_limit: float = DEFAULT_GROWTH_LIMIT
     use_step_estimator: bool = False
+    track_loo: bool = False
+    overflow_limit: float | None = None
+
+    def __post_init__(self):
+        _check_choice(self, "basis")
+        if self.initial_step < 1:
+            raise ValueError("initial_step must be positive")
+        if self.restart_len < 1:
+            raise ValueError("restart_len must be positive")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts cannot be negative")
+        if self.initial_step > self.restart_len:
+            raise ValueError("initial_step cannot exceed restart_len")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
+        if not self.cond_limit >= 1.0:
+            raise ValueError("cond_limit must be at least 1")
+        if not self.growth_limit > 0.0:
+            raise ValueError("growth_limit must be positive")
+
+
+@dataclass(kw_only=True)
+class RunManifest(SolverConfig):
+    """One experiment: problem, solver, and output identity.
+
+    Takes every SolverConfig field as a keyword, and is passed to the
+    solver as its config.  matrix accepts a Matrix Market path or a
+    generator spec: 'diag:n:lo:hi', 'lap2d:n', 'lap3d:n'.  rhs 'ones'
+    solves against b = A @ ones; 'random' against a unit vector drawn
+    from seed.
+    """
+
+    matrix: str
+    solver: str = "adaptive"
     precond: str = "none"
     equilibrate: str = "none"
-    track_loo: bool = False
     rhs: str = "ones"
     seed: int = 0
     label: str | None = None
 
     def __post_init__(self):
-        if self.solver not in ("adaptive", "gmres"):
-            raise ValueError(f"unknown solver '{self.solver}'")
-        if self.precond not in ("none", "ilu0"):
-            raise ValueError(f"unknown preconditioner '{self.precond}'")
-        if self.equilibrate not in ("none", "scalar", "column"):
-            raise ValueError(f"unknown equilibration mode '{self.equilibrate}'")
-        if self.rhs not in ("ones", "random"):
-            raise ValueError(f"unknown rhs mode '{self.rhs}'")
+        super().__post_init__()
+        for name in ("solver", "precond", "equilibrate", "rhs"):
+            _check_choice(self, name)
+        if self.seed < 0:
+            raise ValueError("seed cannot be negative")
 
     @property
     def stem(self) -> str:
@@ -141,18 +177,29 @@ class RunResult:
     trace: object
 
 
+# generator name -> (generator, field types, spec form)
+_GENERATORS = {
+    "diag": (gen_diagonal, (int, float, float), "diag:n:lo:hi"),
+    "lap2d": (gen_laplace2d, (int,), "lap2d:n"),
+    "lap3d": (gen_laplace3d, (int,), "lap3d:n"),
+}
+
+
 def resolve_matrix(spec: str) -> SparseMatrix:
-    """Build a matrix from a generator spec or read it from a file."""
-    if spec.startswith("diag:"):
-        parts = spec.split(":")
-        if len(parts) != 4:
-            raise ValueError("diag spec must be diag:n:lo:hi")
-        return gen_diagonal(int(parts[1]), float(parts[2]), float(parts[3]))
-    if spec.startswith("lap2d:"):
-        return gen_laplace2d(int(spec.split(":")[1]))
-    if spec.startswith("lap3d:"):
-        return gen_laplace3d(int(spec.split(":")[1]))
-    return parse_matrix_market(spec)
+    """Build a matrix from a generator spec or read it from a file.
+
+    A generator spec with the wrong field count or a field that does not
+    parse raises ValueError quoting the spec.
+    """
+    kind, *parts = spec.split(":")
+    if kind not in _GENERATORS or not parts:
+        return parse_matrix_market(spec)
+    gen, types, form = _GENERATORS[kind]
+    try:
+        args = [t(v) for t, v in zip(types, parts, strict=True)]
+    except ValueError:
+        raise ValueError(f"{kind} spec must be {form}, got '{spec}'") from None
+    return gen(*args)
 
 
 def build_rhs(a: SparseMatrix, mode: str, seed: int) -> np.ndarray:
@@ -165,8 +212,8 @@ def build_rhs(a: SparseMatrix, mode: str, seed: int) -> np.ndarray:
 
 def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
     """Execute one manifest and write its CSV and JSON files."""
-    # imported here: the solvers module itself needs ReductionCounter above
-    from .solvers import SolverConfig, adaptive_gmres, gmres_baseline, ritz_harvest
+    # looked up at call time: the solvers module imports this one
+    from .solvers import adaptive_gmres, gmres_baseline, ritz_harvest
 
     t_setup = time.perf_counter()
     a = resolve_matrix(manifest.matrix)
@@ -197,22 +244,11 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
         rhs_sys = b_eq
     setup_time = time.perf_counter() - t_setup
 
-    cfg = SolverConfig(
-        basis=manifest.basis,
-        initial_step=manifest.initial_step,
-        restart_len=manifest.restart_len,
-        max_restarts=manifest.max_restarts,
-        rel_tol=manifest.rel_tol,
-        cond_limit=manifest.cond_limit,
-        growth_limit=manifest.growth_limit,
-        use_step_estimator=manifest.use_step_estimator,
-        track_loo=manifest.track_loo,
-    )
     t_solve = time.perf_counter()
     if manifest.solver == "adaptive":
-        trace = adaptive_gmres(op, rhs_sys, config=cfg, counter=counter, ritz=ritz)
+        trace = adaptive_gmres(op, rhs_sys, config=manifest, counter=counter, ritz=ritz)
     else:
-        trace = gmres_baseline(op, rhs_sys, config=cfg, counter=counter)
+        trace = gmres_baseline(op, rhs_sys, config=manifest, counter=counter)
     solve_time = time.perf_counter() - t_solve
     trace.x = eq.recover_solution(trace.x)
 
@@ -240,18 +276,8 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
             "precond": manifest.precond,
             "equilibrate": manifest.equilibrate,
         },
-        "solver": {
-            "kind": manifest.solver,
-            "basis": manifest.basis,
-            "initial_step": int(manifest.initial_step),
-            "restart_len": int(manifest.restart_len),
-            "max_restarts": int(manifest.max_restarts),
-            "rel_tol": float(manifest.rel_tol),
-            "cond_limit": float(manifest.cond_limit),
-            "growth_limit": float(manifest.growth_limit),
-            "use_step_estimator": bool(manifest.use_step_estimator),
-            "track_loo": bool(manifest.track_loo),
-        },
+        "solver": {"kind": manifest.solver,
+                   **{f.name: getattr(manifest, f.name) for f in fields(SolverConfig)}},
         "result": {
             "converged": bool(trace.converged),
             "breakdown": bool(trace.breakdown),

@@ -74,7 +74,9 @@ def _eliminate(a: SparseMatrix, keys: np.ndarray, diag_pos: np.ndarray,
     leaves inf or nan in the rows that use it; the caller reports it.
     """
     n = a.n
-    indptr, indices = a.indptr, a.indices
+    # int64 index arrays (copies of int32 ones): numpy casts an int32 index
+    # array to intp on every fancy index, and the loop below makes thousands
+    indptr, indices = (v.astype(np.int64, copy=False) for v in (a.indptr, a.indices))
     luval = a.data.copy()
     last = len(keys) - 1
     nlow = diag_pos - indptr[:-1]
@@ -123,8 +125,9 @@ def ilu0(a: SparseMatrix) -> ILU0:
         raise ZeroPivotError(f"row {i}: diagonal entry missing from sparsity pattern")
     diag_pos = np.flatnonzero(on_diag)
     del on_diag, has_diag
-    # row * n + col, strictly increasing along the CSR arrays; built in
-    # place, since the factor's temporaries set its peak memory
+    # row * n + col, strictly increasing along the CSR arrays; int64, since
+    # they reach n * n (past 2**31 for n > 46 340) while the indices may be
+    # int32; built in place, since the factor's temporaries set its peak memory
     keys = rows
     keys *= n
     keys += indices

@@ -22,60 +22,8 @@ import scipy.linalg as sla
 from .basis import RitzSet, build_change_of_basis, matrix_powers
 from .blockqr import bcgs2_partial_cholqr
 from .dense import BreakdownError, GivensLs, hessenberg_eigenvalues, negligible
-from .estimator import DEFAULT_GROWTH_LIMIT, estimate_initial_step
-from .harness import ReductionCounter
-
-
-@dataclass
-class SolverConfig:
-    """Knobs shared by both solvers; block-specific fields are ignored by the baseline.
-
-    basis            : 'monomial', 'newton', or 'scaled-newton'.
-    initial_step     : starting block size s0.
-    restart_len      : Krylov columns per cycle.
-    max_restarts     : extra cycles allowed after the first.
-    rel_tol          : convergence target for the relative residual.
-    cond_limit       : condition bound the block factorization enforces.
-    growth_limit     : threshold for the a priori step-size estimate.
-    use_step_estimator : when True, harvest shifts and cap the starting
-                       block size at the estimate's recommendation.
-    incremental_condition : track block conditioning with the O(j) update
-                       instead of per-prefix SVDs.
-    track_loo        : record basis orthogonality loss per iteration
-                       (diagnostic only, never counted as reductions).
-    overflow_limit   : column-norm guard for basis generation
-                       (None picks the default).
-    """
-
-    basis: str = "monomial"
-    initial_step: int = 10
-    restart_len: int = 100
-    max_restarts: int = 10
-    rel_tol: float = 1e-10
-    cond_limit: float = 1e7
-    growth_limit: float = DEFAULT_GROWTH_LIMIT
-    use_step_estimator: bool = False
-    incremental_condition: bool = True
-    track_loo: bool = False
-    overflow_limit: float | None = None
-
-    def __post_init__(self):
-        if self.basis not in ("monomial", "newton", "scaled-newton"):
-            raise ValueError(f"unknown basis '{self.basis}'")
-        if self.initial_step < 1:
-            raise ValueError("initial_step must be positive")
-        if self.restart_len < 1:
-            raise ValueError("restart_len must be positive")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts cannot be negative")
-        if self.initial_step > self.restart_len:
-            raise ValueError("initial_step cannot exceed restart_len")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if not self.cond_limit >= 1.0:
-            raise ValueError("cond_limit must be at least 1")
-        if not self.growth_limit > 0.0:
-            raise ValueError("growth_limit must be positive")
+from .estimator import estimate_initial_step
+from .harness import ReductionCounter, SolverConfig
 
 
 @dataclass
@@ -357,10 +305,8 @@ class _BlockStep:
         outcome = None
         if blk.ncols > 0:
             try:
-                outcome = bcgs2_partial_cholqr(
-                    q[:i].T, blk.v, cfg.cond_limit,
-                    use_estimator=cfg.incremental_condition, counter=self.counter,
-                )
+                outcome = bcgs2_partial_cholqr(q[:i].T, blk.v, cfg.cond_limit,
+                                               counter=self.counter)
             except BreakdownError:
                 self.wasted += blk.ncols
         if outcome is None:

@@ -14,6 +14,10 @@ import numpy as np
 import scipy.sparse as _sp
 
 
+def _index_dtype(n: int, nnz: int):
+    return np.int32 if max(n, nnz) < 2**31 else np.int64
+
+
 @dataclass
 class SparseMatrix:
     """Square sparse matrix in CSR form.
@@ -22,12 +26,16 @@ class SparseMatrix:
     ----------
     n : int
         Matrix dimension.
-    indptr : ndarray of int64, shape (n + 1,)
+    indptr : ndarray of int32 or int64, shape (n + 1,)
         Row pointer array.
-    indices : ndarray of int64
+    indices : ndarray of int32 or int64
         Column indices, sorted strictly increasing within each row.
     data : ndarray of float64
         Nonzero values, row-major.
+
+    Index arrays are stored as int32 when n and nnz are below 2**31 and
+    as int64 otherwise, the types scipy picks, so the scipy handle shares
+    them instead of holding converted copies.
     """
 
     n: int
@@ -37,17 +45,23 @@ class SparseMatrix:
     _handle: _sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.indptr.shape != (self.n + 1,):
+        nnz = len(self.data)
+        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        # checked before the cast, which would wrap an out-of-range value
+        if indptr.shape != (self.n + 1,):
             raise ValueError("indptr must have length n + 1")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.data):
+        if indptr[0] != 0 or indptr[-1] != nnz:
             raise ValueError("indptr endpoints inconsistent with data length")
-        if len(self.indices) != len(self.data):
+        if np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must be nondecreasing")
+        if len(indices) != nnz:
             raise ValueError("indices and data length mismatch")
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.n):
+        if nnz and (indices.min() < 0 or indices.max() >= self.n):
             raise ValueError("column index out of range")
+        idx = _index_dtype(self.n, nnz)
+        self.indptr = np.ascontiguousarray(indptr, dtype=idx)
+        self.indices = np.ascontiguousarray(indices, dtype=idx)
         # strictly increasing columns per row also rules out duplicates; the
         # pair (p, p + 1) spans two rows when p + 1 starts a row
         bad = np.diff(self.indices) <= 0
@@ -202,8 +216,8 @@ def gen_diagonal(n: int, lo: float, hi: float) -> SparseMatrix:
     if n < 1:
         raise ValueError("n must be positive")
     d = np.linspace(lo, hi, n) if n > 1 else np.array([float(lo)])
-    indptr = np.arange(n + 1, dtype=np.int64)
-    return SparseMatrix(n, indptr, np.arange(n, dtype=np.int64), d)
+    idx = _index_dtype(n, n)
+    return SparseMatrix(n, np.arange(n + 1, dtype=idx), np.arange(n, dtype=idx), d)
 
 
 def gen_laplace2d(n: int) -> SparseMatrix:

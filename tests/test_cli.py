@@ -47,6 +47,20 @@ class TestExitCodes:
         assert code == 1
         assert "diag spec" in err
 
+    @pytest.mark.parametrize("argv,msg", [
+        (["--matrix", "lap2d:3:4"], "lap2d spec must be lap2d:n, got 'lap2d:3:4'"),
+        (["--matrix", "diag:5:a:2"], "got 'diag:5:a:2'"),
+        (["--matrix", "diag:40:0.5:5.0", "--equilibrate", "scalar", "--s0", "0"],
+         "initial_step"),
+        (["--matrix", "diag:40:0.5:5.0", "--tol", "inf"], "rel_tol"),
+        (["--matrix", "diag:40:0.5:5.0", "--rhs", "random", "--seed", "-1"], "seed"),
+    ], ids=["extra-field", "bad-float", "s0-zero-scalar", "tol-inf", "seed-negative"])
+    def test_bad_input_names_it(self, tmp_path, capsys, argv, msg):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("sstep: error:") and msg in err
+        assert not os.listdir(tmp_path)
+
     def test_ilu_missing_diagonal_is_one(self, tmp_path, capsys):
         path = tmp_path / "nodiag.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"

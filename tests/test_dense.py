@@ -98,12 +98,14 @@ class TestPartialCholesky:
 
     def test_condition_stop_keeps_rejected_value(self):
         g = np.diag([1.0, 1e-6, 1e-18])
-        for flag in (True, False):
-            out = partial_cholesky(g, 1e7, use_estimator=flag)
-            assert out.p == 2 and out.stopped_by == "condition"
-            assert len(out.cond_trace) == 3
-            assert out.cond_trace[-1] > 1e7 >= out.cond_trace[-2]
-            npt.assert_allclose(out.r, np.diag([1.0, 1e-3]), rtol=1e-15)
+        out = partial_cholesky(g, 1e7)
+        assert out.p == 2 and out.stopped_by == "condition"
+        assert len(out.cond_trace) == 3
+        assert out.cond_trace[-1] > 1e7 >= out.cond_trace[-2]
+        npt.assert_allclose(out.r, np.diag([1.0, 1e-3]), rtol=1e-15)
+        # on a diagonal Gram matrix the estimate is exact: the SVD oracle agrees
+        exact = [svd_condition(np.sqrt(g[:j, :j])) for j in (1, 2, 3)]
+        npt.assert_allclose(out.cond_trace, exact, rtol=1e-12)
 
     def test_pivot_stop_exact_rank_deficiency(self):
         # Gram matrix of [e0, e1, e0 + e1]: third pivot is exactly 0
@@ -132,9 +134,12 @@ class TestPartialCholesky:
 
     def test_estimator_and_svd_agree_on_decisive_gap(self):
         g = np.diag([1.0, 1e-2, 1e-16])
-        a = partial_cholesky(g, 1e7, use_estimator=True)
-        b = partial_cholesky(g, 1e7, use_estimator=False)
-        assert (a.p, a.stopped_by) == (b.p, b.stopped_by) == (2, "condition")
+        out = partial_cholesky(g, 1e7)
+        assert (out.p, out.stopped_by) == (2, "condition")
+        # oracle: the first prefix whose exact condition passes the limit
+        r = np.linalg.cholesky(g).T
+        exact = [svd_condition(r[:j, :j]) for j in (1, 2, 3)]
+        assert out.p == next(j for j, k in enumerate(exact) if k > 1e7)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

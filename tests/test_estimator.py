@@ -43,8 +43,9 @@ def test_defaults():
 def test_two_value_hand_case():
     # values [1, 3]: both scale factors are 1, the off-diagonal distance is 2
     out = estimate_initial_step([1.0, 3.0])
-    npt.assert_allclose(out.growth[0], [EPS, EPS], rtol=1e-12)
-    npt.assert_allclose(out.growth[1], [1.0, 2.0 * EPS], rtol=1e-12)
+    growth = np.exp(out.log_growth)
+    npt.assert_allclose(growth[0], [EPS, EPS], rtol=1e-12)
+    npt.assert_allclose(growth[1], [1.0, 2.0 * EPS], rtol=1e-12)
     npt.assert_allclose(out.col_norms, [math.sqrt(1 + EPS**2), math.sqrt(5.0) * EPS],
                         rtol=1e-12)
     assert out.s0_star == 2
@@ -52,7 +53,7 @@ def test_two_value_hand_case():
 
 def test_exact_duplicates_use_eps_model():
     out = estimate_initial_step([2.0, 2.0])
-    e = out.growth
+    e = np.exp(out.log_growth)
     assert e[0, 0] == pytest.approx(EPS, rel=1e-12)
     assert e[1, 1] == pytest.approx(EPS * EPS, rel=1e-12)
     assert e[1, 0] == pytest.approx(1.0)
@@ -96,11 +97,13 @@ def test_columns_beyond_limit_are_rejected():
         assert out.col_norms[s0] >= DEFAULT_GROWTH_LIMIT
 
 
-def test_growth_lower_is_strictly_lower():
-    out = estimate_initial_step([1.0, 2.0, 4.0])
-    low = out.growth_lower
-    assert np.all(np.triu(low) == 0.0)
-    npt.assert_allclose(low[2, 0], out.growth[2, 0])
+def test_growth_below_diagonal_is_partial_products():
+    # entry (i, j), j < i, is the product of the first j factors of row i:
+    # 1 in column 0, then |theta_i - theta_0| / gamma_0, ...
+    vals = [1.0, 2.0, 4.0]
+    low = np.tril(np.exp(estimate_initial_step(vals).log_growth), -1)
+    npt.assert_array_equal(low[1:, 0], [1.0, 1.0])
+    npt.assert_allclose(low, np.tril(direct_growth(vals, EPS), -1), rtol=1e-12)
 
 
 def test_input_guards():

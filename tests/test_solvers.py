@@ -466,6 +466,8 @@ class TestConfigValidation:
         (dict(max_restarts=-1), "max_restarts"),
         (dict(initial_step=40, restart_len=30), "cannot exceed"),
         (dict(rel_tol=0.0), "rel_tol"),
+        (dict(rel_tol=np.inf), "rel_tol"),
+        (dict(rel_tol=np.nan), "rel_tol"),
         (dict(cond_limit=0.5), "cond_limit"),
         (dict(growth_limit=0.0), "growth_limit"),
     ])
@@ -473,6 +475,10 @@ class TestConfigValidation:
         base = dict(basis="monomial", initial_step=5, restart_len=50)
         with pytest.raises(ValueError, match=msg):
             SolverConfig(**{**base, **kwargs})
+
+    def test_infinite_limits_mean_no_limit(self):
+        cfg = SolverConfig(cond_limit=np.inf, growth_limit=np.inf)
+        assert cfg.cond_limit == cfg.growth_limit == np.inf
 
     def test_missing_ritz_for_newton_solver(self):
         a, b = diag_problem(20)

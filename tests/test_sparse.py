@@ -92,6 +92,21 @@ class TestSparseMatrix:
     def test_validation_rejects_bad_indptr(self):
         with pytest.raises(ValueError, match="indptr"):
             SparseMatrix(2, [0, 1], [0], [1.0])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            SparseMatrix(3, [0, 2, 1, 2], [0, 1], [1.0, 1.0])
+
+    def test_out_of_range_index_is_checked_before_the_int32_cast(self):
+        # 2**32 would wrap to column 0 in int32
+        with pytest.raises(ValueError, match="out of range"):
+            SparseMatrix(2, [0, 1, 2], np.array([0, 2**32], dtype=np.int64), [1.0, 1.0])
+
+    def test_scipy_handle_shares_index_arrays(self):
+        a = gen_laplace2d(100)
+        assert a.indices.dtype == a.indptr.dtype == np.int32
+        h = a._scipy()
+        assert np.shares_memory(h.indices, a.indices)
+        assert np.shares_memory(h.indptr, a.indptr)
+        assert np.shares_memory(h.data, a.data)
 
 
 class TestGenerators:
