@@ -138,14 +138,6 @@ class ChangeOfBasis:
     def s(self) -> int:
         return len(self.shift)
 
-    def truncated(self, s: int) -> "ChangeOfBasis":
-        """First s recurrence steps (a cut pair still works, see step 1)."""
-        if not 0 < s <= self.s:
-            raise ValueError(f"s must be in 1..{self.s}")
-        return ChangeOfBasis(
-            self.shift[:s], self.scale[:s], self.coupling[:s], self.pair_role[:s]
-        )
-
     def dense(self) -> np.ndarray:
         """The (s+1) x s matrix B with A V_{0:s-1} = V_{0:s} B exactly."""
         s = self.s

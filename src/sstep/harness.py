@@ -188,8 +188,9 @@ _GENERATORS = {
 def resolve_matrix(spec: str) -> SparseMatrix:
     """Build a matrix from a generator spec or read it from a file.
 
-    A generator spec with the wrong field count or a field that does not
-    parse raises ValueError quoting the spec.
+    A generator spec with the wrong field count, a field that does not
+    parse, an n below 1 or a non-finite value raises ValueError quoting
+    the spec.
     """
     kind, *parts = spec.split(":")
     if kind not in _GENERATORS or not parts:
@@ -199,6 +200,8 @@ def resolve_matrix(spec: str) -> SparseMatrix:
         args = [t(v) for t, v in zip(types, parts, strict=True)]
     except ValueError:
         raise ValueError(f"{kind} spec must be {form}, got '{spec}'") from None
+    if args[0] < 1 or not all(map(math.isfinite, args)):
+        raise ValueError(f"{kind} spec needs n >= 1 and finite values, got '{spec}'")
     return gen(*args)
 
 

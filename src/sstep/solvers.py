@@ -3,7 +3,8 @@
 Both run through one restart-cycle driver and differ only in the step
 that extends a cycle's basis: one modified Gram-Schmidt column for the
 baseline; for the adaptive solver a block (matrix powers, condition-limited
-block QR, Hessenberg assembly) that falls back to the same column step.
+block QR, Hessenberg assembly) that falls back to the same column step.  The
+Ritz harvest runs that block step on one cycle of monomial blocks.
 
 Both take the operator as a callable and the right-hand side of the system
 actually iterated on, i.e. preconditioning and scaling are folded in by the
@@ -23,7 +24,7 @@ from .basis import RitzSet, build_change_of_basis, matrix_powers
 from .blockqr import bcgs2_partial_cholqr
 from .dense import BreakdownError, GivensLs, hessenberg_eigenvalues, negligible
 from .estimator import estimate_initial_step
-from .harness import ReductionCounter, SolverConfig
+from .harness import COUNTER_KINDS, ReductionCounter, SolverConfig
 
 
 @dataclass
@@ -60,33 +61,6 @@ def _counted(op, counter: ReductionCounter, phase: str):
         return op(v)
 
     return apply
-
-
-def _mgs_column(op, q: np.ndarray, k: int, hcol: np.ndarray,
-                counter: ReductionCounter, phase: str) -> float:
-    """One modified Gram-Schmidt step on an orthonormal basis q[:k].
-
-    q holds one basis vector per row.  Applies op to q[k - 1], projects
-    the result against q[:k] one row at a time, and stores the k
-    coefficients and the remaining norm in hcol[:k + 1].  A column whose
-    remaining norm is at roundoff level of ||op(q[k - 1])|| is dependent:
-    its norm is stored and returned as 0.  Otherwise the normalized vector
-    goes to q[k].  Books k projection events and one norm to phase.
-    """
-    w = op(q[k - 1])
-    counter.add("projections", phase, k)
-    for t in range(k):
-        hcol[t] = float(q[t] @ w)
-        w -= hcol[t] * q[t]
-    counter.add("norms", phase)
-    nrm = float(np.linalg.norm(w))
-    # ||op(q[k - 1])|| rebuilt from the coefficients, without a reduction
-    if negligible(nrm, k, math.sqrt(float(hcol[:k] @ hcol[:k]) + nrm * nrm)):
-        nrm = 0.0
-    hcol[k] = nrm
-    if nrm != 0.0:
-        q[k] = w / nrm
-    return nrm
 
 
 class _Rows:
@@ -129,12 +103,9 @@ class _Cycle:
         self.ls = GivensLs(m, beta)
         self.loo_sq = 0.0
         self.beta0 = beta0
+        self.tol = cfg.rel_tol * beta0  # what a least-squares estimate must meet
         self.cfg = cfg
         self.rows = rows
-
-    def reached(self, est: float) -> bool:
-        """Whether a least-squares residual estimate meets the tolerance."""
-        return est <= self.cfg.rel_tol * self.beta0
 
     def emit(self, est: float, loo: float, width: int):
         self.rows.emit(est / self.beta0, loo, width)
@@ -204,8 +175,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         counter.add("norms", "residual")
         # the 10x allowance on the estimate applies only to an estimate that
         # met the tolerance; an exhausted space above it is not convergence
-        tol = cfg.rel_tol * beta0
-        converged = true_nrm <= (max(10.0 * est, tol) if cyc.reached(est) else tol)
+        converged = true_nrm <= (max(10.0 * est, cyc.tol) if est <= cyc.tol else cyc.tol)
         kept = converged or true_nrm < beta
         if kept:
             x, final_rel = x_new, true_nrm / beta0
@@ -240,7 +210,12 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
 
 
 class _ColumnStep:
-    """One modified Gram-Schmidt column: the baseline step and the block fallback."""
+    """One modified Gram-Schmidt column: the baseline step and the block fallback.
+
+    Projects op(q[i - 1]) against q[:i] one row at a time into Hessenberg
+    column i - 1.  A remaining norm at roundoff level of ||op(q[i - 1])||
+    marks a dependent column: it is stored as 0 and ends the cycle.
+    """
 
     width = 1
 
@@ -253,7 +228,19 @@ class _ColumnStep:
         q, ls = cyc.q, cyc.ls
         i = ls.ncols + 1
         hcol = cyc.h[: i + 1, i - 1]
-        nrm = _mgs_column(self.op, q, i, hcol, self.counter, self.phase)
+        w = self.op(q[i - 1])
+        self.counter.add("projections", self.phase, i)
+        for t in range(i):
+            hcol[t] = float(q[t] @ w)
+            w -= hcol[t] * q[t]
+        self.counter.add("norms", self.phase)
+        nrm = float(np.linalg.norm(w))
+        # ||op(q[i - 1])|| rebuilt from the coefficients, without a reduction
+        if negligible(nrm, i, math.sqrt(float(hcol[:i] @ hcol[:i]) + nrm * nrm)):
+            nrm = 0.0
+        hcol[i] = nrm
+        if nrm != 0.0:
+            q[i] = w / nrm
         happy = not nrm > 0.0  # a NaN norm also ends the cycle
         if cyc.cfg.track_loo and not happy:
             c = q[:i] @ q[i]
@@ -266,7 +253,7 @@ class _ColumnStep:
             # exhausted, so solve on the columns appended before it
             return i - 1, float(ls.residual_estimate), True
         cyc.emit(est, math.sqrt(cyc.loo_sq), 1)
-        if cyc.reached(est) or happy:
+        if est <= cyc.tol or happy:
             return i, est, happy
         return None
 
@@ -320,7 +307,7 @@ class _BlockStep:
         q[i : i + p] = outcome.q_new.T
         self.block_sizes.append(p)
         self.cond_traces.append(outcome.cond_trace)
-        conv_t = next((t for t in range(p) if cyc.reached(ests[t])), None)
+        conv_t = next((t for t in range(p) if ests[t] <= cyc.tol), None)
         emit = p if conv_t is None else conv_t + 1
         if cfg.track_loo:
             # measure only the columns the emitted iterations span;
@@ -342,29 +329,35 @@ class _BlockStep:
 def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None = None) -> RitzSet:
     """Run k Arnoldi steps from rhs/||rhs|| and return the ordered Ritz values.
 
-    Uses modified Gram-Schmidt; on early breakdown at column j < k the
-    harvest returns the j values available.  All costs are attributed to
-    the 'harvest' phase.
+    The Arnoldi process is the block solver's own step on one cycle of
+    monomial blocks.  It stops only at k columns or at a Krylov space
+    exhausted at column j < k, and then returns the j values available.
+    All costs are attributed to the 'harvest' phase.
     """
     if k < 1:
         raise ValueError("k must be positive")
     counter = counter if counter is not None else ReductionCounter()
     rhs = np.asarray(rhs, dtype=np.float64)
-    op_h = _counted(op, counter, "harvest")
     counter.add("norms", "harvest")
     beta = float(np.linalg.norm(rhs))
     if beta == 0.0:
         raise ValueError("cannot harvest from a zero vector")
-    q = np.empty((k + 1, len(rhs)))
-    q[0] = rhs / beta
-    h = np.zeros((k + 1, k))
-    k_eff = k
-    for j in range(k):
-        if _mgs_column(op_h, q, j + 1, h[:, j], counter, "harvest") == 0.0:
-            k_eff = j + 1
+    cfg = SolverConfig(restart_len=k, initial_step=min(k, SolverConfig.initial_step))
+    # the step books mpk, ortho and fallback events; a counter of its own
+    # keeps them out of the caller's solve phases
+    own = ReductionCounter()
+    step = _BlockStep(op, own, cfg, None, cfg.initial_step)
+    cyc = _Cycle(np.empty((k + 1, len(rhs))), rhs, beta, beta, cfg, _Rows(own))
+    cyc.tol = -math.inf  # never stop on the least-squares estimate
+    while cyc.ls.ncols < k:
+        i = cyc.ls.ncols + 1
+        if step(cyc) is not None:
+            # only an exhausted space signals; Hessenberg column i closes it
+            k = i
             break
-    vals = hessenberg_eigenvalues(h, k_eff)
-    return RitzSet.from_values(vals)
+    for kind in COUNTER_KINDS:
+        counter.add(kind, "harvest", own.kind_total(kind))
+    return RitzSet.from_values(hessenberg_eigenvalues(cyc.h, k))
 
 
 def assemble_hessenberg(r_hat: np.ndarray, b_dense: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
@@ -416,12 +409,15 @@ def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
 
     ritz supplies the shifts for the newton bases and the step estimate;
     when needed and not given it is harvested here with initial_step
-    Arnoldi iterations on op.
+    Arnoldi iterations on op, unless b is zero and x0 not given.
     """
     cfg = config if config is not None else SolverConfig()
     counter = counter if counter is not None else ReductionCounter()
     needs_ritz = cfg.basis != "monomial" or cfg.use_step_estimator
     if needs_ritz and ritz is None:
+        if x0 is None and not np.any(b):
+            # nothing to solve: the driver returns before its first step
+            return _restarted_gmres(op, b, x0, cfg, counter, None)
         ritz = ritz_harvest(op, b, cfg.initial_step, counter)
 
     s0_star = None

@@ -50,11 +50,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,msg", [
         (["--matrix", "lap2d:3:4"], "lap2d spec must be lap2d:n, got 'lap2d:3:4'"),
         (["--matrix", "diag:5:a:2"], "got 'diag:5:a:2'"),
+        (["--matrix", "diag:5:nan:2"], "got 'diag:5:nan:2'"),
+        (["--matrix", "lap2d:0"], "got 'lap2d:0'"),
         (["--matrix", "diag:40:0.5:5.0", "--equilibrate", "scalar", "--s0", "0"],
          "initial_step"),
         (["--matrix", "diag:40:0.5:5.0", "--tol", "inf"], "rel_tol"),
         (["--matrix", "diag:40:0.5:5.0", "--rhs", "random", "--seed", "-1"], "seed"),
-    ], ids=["extra-field", "bad-float", "s0-zero-scalar", "tol-inf", "seed-negative"])
+    ], ids=["extra-field", "bad-float", "nan-field", "zero-n", "s0-zero-scalar", "tol-inf",
+            "seed-negative"])
     def test_bad_input_names_it(self, tmp_path, capsys, argv, msg):
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
         assert code == 1
@@ -80,6 +83,14 @@ class TestExitCodes:
             "--s0", "3", "--out", str(tmp_path))
         assert code == 2
         assert "broke down" in out
+
+    def test_zero_rhs_with_newton_basis_is_zero(self, tmp_path, capsys):
+        # b = A @ ones is zero, so there is nothing to solve and no shifts to harvest
+        code, out, err = run_cli(
+            capsys, "--matrix", "diag:5:0:0", "--basis", "scaled-newton",
+            "--s0", "2", "--restart", "4", "--out", str(tmp_path))
+        assert code == 0
+        assert "converged after 0 iterations" in out
 
     def test_budget_exhaustion_is_zero(self, tmp_path, capsys):
         code, out, err = run_cli(

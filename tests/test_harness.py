@@ -87,7 +87,9 @@ class TestProblemBuilding:
         with pytest.raises(ValueError, match=f"must be {form}, got '{spec}'"):
             resolve_matrix(spec)
 
-    @pytest.mark.parametrize("spec", ["lap2d:abc", "lap3d:2.5", "diag:5:a:2", "diag:x:1:2"])
+    @pytest.mark.parametrize("spec", ["lap2d:abc", "lap3d:2.5", "diag:5:a:2", "diag:x:1:2",
+                                      "diag:5:nan:2", "diag:5:1:inf", "lap2d:0", "lap3d:-1",
+                                      "diag:0:1:2"])
     def test_unparsable_field_names_spec(self, spec):
         with pytest.raises(ValueError, match=f"got '{spec}'"):
             resolve_matrix(spec)
@@ -195,8 +197,9 @@ class TestRunExperiment:
         assert gap < 1e-8
         if mode == "scalar":
             # the scaling factor comes from a spectral probe of the operator,
-            # whose Ritz values the solver reuses instead of harvesting again
-            assert res.summary["counters"]["harvest"]["spmv"] == man.initial_step
+            # whose Ritz values the solver reuses instead of harvesting again;
+            # its width-5 block keeps 4 columns and a width-1 block the fifth
+            assert res.summary["counters"]["harvest"]["spmv"] == 5 + 1
 
     def test_column_equilibrated_identity_keeps_no_noise_columns(self, tmp_path):
         # column equilibration turns diag(d) into I, so every candidate of

@@ -1,5 +1,6 @@
 """Both solver drivers: correctness, adaptation, accounting, edge behavior."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -20,10 +21,13 @@ from sstep import (
     bcgs2_partial_cholqr,
     build_change_of_basis,
     gen_diagonal,
+    gen_laplace2d,
     gmres_baseline,
+    ilu0,
     matrix_powers,
     ritz_harvest,
 )
+from sstep.dense import negligible
 
 
 def unit_rhs(rng, n):
@@ -308,20 +312,22 @@ def test_arnoldi_relation_after_every_block(seed, n, basis, s):
 def test_ortho_reductions_are_four_per_block_on_random_problems(seed, n, basis, s, extra):
     ad, b = random_problem(seed, n)
     cfg = SolverConfig(basis=basis, initial_step=s, restart_len=s + extra, max_restarts=3)
+    counter = ReductionCounter()
     broken = []
 
     def block_qr(*args, **kwargs):
         try:
             return bcgs2_partial_cholqr(*args, **kwargs)
         except BreakdownError:
-            broken.append(True)
+            # the harvest's block QR books on a counter of its own
+            broken.append(kwargs["counter"] is counter)
             raise
 
     with mock.patch.object(sstep.solvers, "bcgs2_partial_cholqr", block_qr):
-        tr = adaptive_gmres(SparseMatrix.from_dense(ad).matvec, b, config=cfg)
+        tr = adaptive_gmres(SparseMatrix.from_dense(ad).matvec, b, config=cfg, counter=counter)
     # a block that keeps no column (past an exhausted Krylov space) stops
     # after the two events of its first pass and falls back
-    assert tr.counter.phase_reductions("ortho") == 4 * len(tr.block_sizes) + 2 * len(broken)
+    assert counter.phase_reductions("ortho") == 4 * len(tr.block_sizes) + 2 * sum(broken)
 
 
 class TestEdgeBehavior:
@@ -348,6 +354,18 @@ class TestEdgeBehavior:
             assert tr.converged and tr.iterations == 0
             assert tr.final_relative_residual == 0.0
             npt.assert_array_equal(tr.x, np.zeros(20))
+
+    @pytest.mark.parametrize("estimator", [False, True], ids=["fixed", "estimator"])
+    @pytest.mark.parametrize("basis", ["monomial", "newton", "scaled-newton"])
+    def test_zero_rhs_needs_no_harvest(self, basis, estimator):
+        a, _ = diag_problem(20)
+        cfg = SolverConfig(basis=basis, initial_step=5, restart_len=10,
+                           use_step_estimator=estimator)
+        tr = adaptive_gmres(a.matvec, np.zeros(20), config=cfg)
+        assert tr.converged and tr.iterations == 0 and not tr.breakdown
+        assert tr.final_relative_residual == 0.0 and tr.s0_star is None
+        npt.assert_array_equal(tr.x, np.zeros(20))
+        assert tr.counter.get("spmv", "harvest") == 0
 
     def test_exact_x0_returns_immediately(self):
         a = gen_diagonal(8, 2.0, 2.0)  # A = 2 I, so b / 2 is exact in floats
@@ -429,7 +447,102 @@ class TestEdgeBehavior:
         assert np.all(np.isfinite(tr2.loo))
 
 
+def reference_harvest(op, rhs, k):
+    """The column-at-a-time modified Gram-Schmidt Arnoldi harvest, kept as the oracle.
+
+    Returns the eigenvalues of the leading Hessenberg block, ending at the
+    first column whose remaining norm is at roundoff level.
+    """
+    q = np.empty((k + 1, len(rhs)))
+    q[0] = rhs / np.linalg.norm(rhs)
+    h = np.zeros((k + 1, k))
+    for j in range(k):
+        w = op(q[j])
+        for t in range(j + 1):
+            h[t, j] = q[t] @ w
+            w -= h[t, j] * q[t]
+        nrm = np.linalg.norm(w)
+        if negligible(nrm, j + 1, math.sqrt(h[: j + 1, j] @ h[: j + 1, j] + nrm * nrm)):
+            return np.linalg.eigvals(h[: j + 1, : j + 1])
+        h[j + 1, j] = nrm
+        q[j + 1] = w / nrm
+    return np.linalg.eigvals(h[:k, :k])
+
+
+def ilu_lap2d(n):
+    a = gen_laplace2d(n)
+    m = ilu0(a)
+    return a, m, lambda v: m.solve(a.matvec(v))
+
+
+def _harvest_ilu_lap2d():
+    _, _, op = ilu_lap2d(30)
+    return op, np.random.default_rng(2).standard_normal(900), 30
+
+
+def _harvest_diag():
+    a, b = diag_problem(500, 1)
+    return a.matvec, b, 60
+
+
+def _harvest_complex_pair():
+    # the 80-row matrix of test_newton_basis_with_complex_pair_shifts
+    rng = np.random.default_rng(8)
+    n = 80
+    d = rng.standard_normal((n, n))
+    a = SparseMatrix.from_dense(0.15 * d + np.diag(rng.uniform(2, 4, n)))
+    return a.matvec, unit_rhs(rng, n), 10
+
+
+# harvest problems: name -> (operator, start vector, k); k stays below the
+# column where GMRES on the start vector reaches roundoff, past which both
+# harvests hand back values that depend on rounding alone
+HARVESTS = {"ilu-lap2d": _harvest_ilu_lap2d(), "diag": _harvest_diag(),
+            "complex-pair": _harvest_complex_pair()}
+
+
 class TestRitzHarvest:
+    @pytest.mark.parametrize("name", HARVESTS)
+    def test_matches_reference_harvest(self, name):
+        op, b, k = HARVESTS[name]
+        got = ritz_harvest(op, b, k).values
+        want = reference_harvest(op, b, k)
+        assert len(got) == len(want) == k
+        # every value has a partner in the other set within 1e-6 relative
+        for x, y in ((got, want), (want, got)):
+            gap = np.min(np.abs(x[:, None] - y[None, :]), axis=1) / np.abs(x)
+            assert np.max(gap) <= 1e-6
+        if name == "complex-pair":
+            assert np.count_nonzero(got.imag > 0) > 0
+            npt.assert_array_equal(np.sort_complex(got), np.sort_complex(np.conj(got)))
+
+    @pytest.mark.parametrize("name", HARVESTS)
+    def test_every_event_is_booked_under_harvest(self, name):
+        op, b, k = HARVESTS[name]
+        counter = ReductionCounter()
+        ritz_harvest(op, b, k, counter)
+        assert counter.phase_reductions("harvest") > 0
+        assert counter.get("spmv", "harvest") >= k
+        for phase, kinds in counter.as_dict().items():
+            if phase != "harvest":
+                assert not any(kinds.values()), phase
+
+    def test_stays_in_the_field_of_values_past_convergence(self):
+        # GMRES on this start vector reaches roundoff before 60 columns.  The
+        # Ritz values of any orthonormal basis lie in the field of values,
+        # whose real parts are bounded below by the least eigenvalue of the
+        # symmetric part; the block harvest keeps its basis orthonormal
+        # there, while the column-at-a-time oracle loses orthogonality and
+        # returns values near zero and below
+        a, m, op = ilu_lap2d(30)
+        b = m.solve(a.matvec(np.ones(a.n)))
+        dense = np.column_stack([op(e) for e in np.eye(a.n)])
+        low = np.linalg.eigvalsh(0.5 * (dense + dense.T))[0]
+        assert low > 0.03
+        got = ritz_harvest(op, b, 100).values
+        assert np.min(got.real) >= low * (1.0 - 1e-9)
+        assert np.min(reference_harvest(op, b, 100).real) < 1e-12
+
     def test_full_space_harvest_recovers_eigenvalues(self):
         rng = np.random.default_rng(63)
         n = 8
@@ -440,9 +553,15 @@ class TestRitzHarvest:
         rs = ritz_harvest(a.matvec, rng.standard_normal(n), n, counter)
         npt.assert_allclose(np.sort(rs.values.real), np.sort(np.linalg.eigvalsh(sym)),
                             rtol=1e-9)
-        assert counter.get("spmv", "harvest") == n
-        assert counter.get("projections", "harvest") == n * (n + 1) // 2
-        assert counter.get("norms", "harvest") == n + 1
+        # a width-8 block keeps 4 columns at the condition limit, a width-4
+        # block 3 before its last candidate lies in span(q); the width-1 block
+        # after them keeps none and its fallback column finds R^8 exhausted
+        assert counter.get("spmv", "harvest") == 8 + 4 + 1 + 1
+        assert counter.get("projections", "harvest") == 2 + 2 + 1 + 8
+        assert counter.get("gram_products", "harvest") == 2 + 2 + 1
+        assert counter.get("norms", "harvest") == 1 + 1
+        assert counter.total_reductions() == counter.phase_reductions("harvest")
+        assert counter.kind_total("spmv") == counter.get("spmv", "harvest")
 
     def test_early_breakdown_returns_leading_values(self):
         a = SparseMatrix.from_dense(np.eye(5))
