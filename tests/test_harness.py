@@ -2,6 +2,7 @@
 
 import json
 import math
+import platform
 import time
 from dataclasses import fields
 
@@ -219,6 +220,27 @@ class TestRunExperiment:
         monkeypatch.setattr(sstep.harness, "resolve_matrix", slow_build)
         res = run_experiment(small_manifest(), str(tmp_path))
         assert res.summary["result"]["setup_time_s"] >= 0.05
+
+    def test_freed_setup_memory_released_before_the_solve(self, tmp_path, monkeypatch):
+        import sstep.solvers
+
+        calls = []
+        factor, release, solve = (sstep.harness.ilu0, sstep.harness._release_freed_memory,
+                                  sstep.solvers.gmres_baseline)
+        monkeypatch.setattr(sstep.harness, "ilu0",
+                            lambda a: calls.append("ilu0") or factor(a))
+        monkeypatch.setattr(sstep.harness, "_release_freed_memory",
+                            lambda: calls.append("release") or release())
+        monkeypatch.setattr(sstep.solvers, "gmres_baseline",
+                            lambda *a, **k: calls.append("solve") or solve(*a, **k))
+        res = run_experiment(RunManifest(matrix="lap2d:8", solver="gmres", precond="ilu0"),
+                             str(tmp_path))
+        assert calls == ["ilu0", "release", "solve"]
+        assert res.summary["result"]["converged"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_heap_trim_found_on_glibc(self):
+        assert sstep.harness._malloc_trim is not None
 
 
 class TestLoadAndCompare:
