@@ -5,7 +5,6 @@ from .basis import (
     KrylovBlock,
     RitzSet,
     build_change_of_basis,
-    default_overflow_limit,
     leja_order,
     matrix_powers,
     newton_scalings,
@@ -84,7 +83,6 @@ __all__ = [
     "assemble_hessenberg",
     "bcgs2_partial_cholqr",
     "build_change_of_basis",
-    "default_overflow_limit",
     "compare_runs",
     "equilibrate",
     "estimate_initial_step",

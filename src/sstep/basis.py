@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# column-norm guard of the matrix-powers kernel, read at each call
+OVERFLOW_LIMIT = 1e10 / math.sqrt(np.finfo(np.float64).eps)
+
 
 def leja_order(values) -> np.ndarray:
     """Greedy max-product ordering of shift values.
@@ -189,10 +192,6 @@ def build_change_of_basis(kind: str, s: int, ritz: RitzSet | None = None) -> Cha
     return ChangeOfBasis(shift, scale, coupling, roles)
 
 
-def default_overflow_limit() -> float:
-    return 1e10 / math.sqrt(np.finfo(np.float64).eps)
-
-
 @dataclass
 class KrylovBlock:
     """Output of the matrix-powers kernel.
@@ -208,18 +207,16 @@ class KrylovBlock:
     truncated: bool
 
 
-def matrix_powers(op, seed: np.ndarray, cob: ChangeOfBasis,
-                  overflow_limit: float | None = None) -> KrylovBlock:
+def matrix_powers(op, seed: np.ndarray, cob: ChangeOfBasis) -> KrylovBlock:
     """Generate s new Krylov columns from a seed vector via the recurrence.
 
     op is the operator as a callable (preconditioning folded in by the
     caller).  Each generated vector fills one row of an s x n array.
-    Generation stops early when a column norm exceeds the overflow guard
-    or turns nonfinite, returning the finite prefix.
+    Generation stops early when a column norm exceeds OVERFLOW_LIMIT or
+    turns nonfinite, returning the finite prefix.
     """
     seed = np.asarray(seed, dtype=np.float64)
     s = cob.s
-    limit = default_overflow_limit() if overflow_limit is None else float(overflow_limit)
     rows = np.empty((s, len(seed)))
     prev2: np.ndarray | None = None
     prev = seed
@@ -229,7 +226,7 @@ def matrix_powers(op, seed: np.ndarray, cob: ChangeOfBasis,
             w += cob.coupling[k] * prev2
         w /= cob.scale[k]
         nrm = float(np.linalg.norm(w))
-        if not math.isfinite(nrm) or nrm > limit:
+        if not math.isfinite(nrm) or nrm > OVERFLOW_LIMIT:
             return KrylovBlock(rows[:k].T, k, True)
         rows[k] = w
         prev2, prev = prev, w

@@ -37,8 +37,7 @@ class StepEstimate:
     log_growth: np.ndarray
 
 
-def estimate_initial_step(values, growth_limit: float = DEFAULT_GROWTH_LIMIT,
-                          eps_model: float = DEFAULT_EPS_MODEL) -> StepEstimate:
+def estimate_initial_step(values, growth_limit: float = DEFAULT_GROWTH_LIMIT) -> StepEstimate:
     """Predict basis growth for shift values in their given order.
 
     values may be a plain complex array or an object with a ``values``
@@ -47,20 +46,19 @@ def estimate_initial_step(values, growth_limit: float = DEFAULT_GROWTH_LIMIT,
     denominators, with the same floor, as the scaled basis construction.
 
     The per-step factor for component i at step k is
-    |theta_i - theta_k| / gamma_k, replaced by eps_model when the
-    numerator vanishes (k = i or exact duplicates).  Entry (i, j) is the
-    product of the first j-1 factors of row i, except the diagonal which
-    takes the product through step i itself.  All products accumulate in
-    log space; column norms come out through a stable log-sum-exp.
+    |theta_i - theta_k| / gamma_k, replaced by DEFAULT_EPS_MODEL (read at
+    call time) when the numerator vanishes (k = i or exact duplicates).
+    Entry (i, j) is the product of the first j-1 factors of row i, except
+    the diagonal which takes the product through step i itself.  All
+    products accumulate in log space; column norms come out through a
+    stable log-sum-exp.
     """
     vals = np.asarray(getattr(values, "values", values), dtype=np.complex128).ravel()
     s = len(vals)
     if s == 0:
         raise ValueError("need at least one value")
-    if not (eps_model > 0.0 and math.isfinite(eps_model)):
-        raise ValueError("eps_model must be a positive finite float")
     gam, _, _, _ = newton_scalings(vals)
-    log_eps = math.log(eps_model)
+    log_eps = math.log(DEFAULT_EPS_MODEL)
     log_gam = np.log(gam)
 
     logg = np.empty((s, s))

@@ -1,10 +1,10 @@
 """Experiment harness: reduction counting, manifest runs, CSV/JSON output, comparison.
 
-A run writes two files with a common stem: a per-iteration CSV with the
-header ``iter,rel_res,loo,block_size,reductions_cum,spmv_cum`` and a JSON
-sidecar holding the problem echo, solver settings, outcome, and counters.
-CSV contents are byte-identical across reruns of the same manifest; the
-sidecar is not, because it records wall time.
+A run writes two files with a common stem: a per-iteration CSV whose
+header is ``CSV_HEADER`` and a JSON sidecar holding the problem echo,
+solver settings, outcome, and counters.  CSV contents are byte-identical
+across reruns of the same manifest; the sidecar is not, because it
+records wall time.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .sparse import (
 REDUCTION_KINDS = ("gram_products", "projections", "norms", "true_residual_checks")
 COUNTER_KINDS = REDUCTION_KINDS + ("spmv",)
 PHASES = ("harvest", "mpk", "ortho", "residual", "fallback")
+CSV_HEADER = "iter,rel_res,loo,block_size,reductions_cum,spmv_cum"
 
 try:  # glibc's; elsewhere freed memory is left to the allocator
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -121,8 +122,6 @@ class SolverConfig:
                        block size at the estimate's recommendation.
     track_loo        : record basis orthogonality loss per iteration
                        (diagnostic only, never counted as reductions).
-    overflow_limit   : column-norm guard for basis generation
-                       (None picks the default).
 
     Infinite cond_limit and growth_limit mean no limit.
     """
@@ -136,7 +135,6 @@ class SolverConfig:
     growth_limit: float = DEFAULT_GROWTH_LIMIT
     use_step_estimator: bool = False
     track_loo: bool = False
-    overflow_limit: float | None = None
 
     def __post_init__(self):
         _check_choice(self, "basis")
@@ -279,7 +277,7 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
     csv_path = stem + ".csv"
     json_path = stem + ".json"
 
-    lines = ["iter,rel_res,loo,block_size,reductions_cum,spmv_cum"]
+    lines = [CSV_HEADER]
     for t in range(trace.iterations):
         lines.append(
             f"{t + 1},{float(trace.residuals[t])!r},{float(trace.loo[t])!r},"
@@ -344,7 +342,7 @@ def load_run(run) -> RunData:
         json_path = csv_path[:-4] + ".json"
     with open(csv_path, "r", encoding="ascii") as f:
         header = f.readline().strip()
-        if header != "iter,rel_res,loo,block_size,reductions_cum,spmv_cum":
+        if header != CSV_HEADER:
             raise ValueError(f"{csv_path}: unexpected header '{header}'")
         rest = f.read()
     if rest.strip():

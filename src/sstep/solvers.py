@@ -63,39 +63,19 @@ def _counted(op, counter: ReductionCounter, phase: str):
     return apply
 
 
-class _Rows:
-    """Accumulates per-iteration trace rows."""
-
-    def __init__(self, counter: ReductionCounter):
-        self._counter = counter
-        self.residuals = []
-        self.loo = []
-        self.block_size = []
-        self.reductions_cum = []
-        self.spmv_cum = []
-
-    def emit(self, rel_res: float, loo: float, width: int):
-        self.residuals.append(rel_res)
-        self.loo.append(loo)
-        self.block_size.append(width)
-        self.reductions_cum.append(self._counter.phase_reductions("ortho"))
-        self.spmv_cum.append(self._counter.solve_spmv())
-
-    def __len__(self):
-        return len(self.residuals)
-
-
 class _Cycle:
     """Basis, Hessenberg matrix and least-squares state of one restart cycle.
 
     A step extends the basis q[:ncols + 1] by one or more vectors, appends
-    the matching Hessenberg columns to ls and emits one trace row per
-    vector.  q is the solve's basis storage, a C-order (m + 1) x n array
-    with one Krylov vector per contiguous row, overwritten row by row.
+    the matching Hessenberg columns to ls and hands their residual
+    estimates to record.  q is the solve's basis storage, a C-order
+    (m + 1) x n array with one Krylov vector per contiguous row,
+    overwritten row by row.  rows collects one trace tuple (rel_res, loo,
+    width, reductions_cum, spmv_cum) per least-squares column.
     """
 
     def __init__(self, q: np.ndarray, r: np.ndarray, beta: float, beta0: float,
-                 cfg: SolverConfig, rows: _Rows):
+                 cfg: SolverConfig, counter: ReductionCounter, rows: list):
         m = cfg.restart_len
         self.q = q
         self.q[0] = r / beta
@@ -105,10 +85,35 @@ class _Cycle:
         self.beta0 = beta0
         self.tol = cfg.rel_tol * beta0  # what a least-squares estimate must meet
         self.cfg = cfg
+        self.counter = counter
         self.rows = rows
 
-    def emit(self, est: float, loo: float, width: int):
-        self.rows.emit(est / self.beta0, loo, width)
+    def record(self, i: int, ests, width: int, exhausted: bool = False):
+        """Trace least-squares columns i, i + 1, ... whose residual estimates are ests.
+
+        Columns past the first estimate at or below tol are dropped, since
+        no iteration uses them.  The orthogonality loss grows by that of
+        basis rows q[i:] the traced columns wrote; an exhausted column
+        wrote none.  Returns the driver's signal (k, est, exhausted) for a
+        met tolerance or an exhausted space, else None.
+        """
+        conv = next((t for t, est in enumerate(ests) if est <= self.tol), None)
+        n = len(ests) if conv is None else conv + 1
+        loo = math.nan
+        if self.cfg.track_loo:
+            if not exhausted:
+                q, new = self.q, self.q[i : i + n]
+                c = q[:i] @ new.T
+                d = new @ new.T - np.eye(n)
+                self.loo_sq += 2.0 * float(np.sum(c * c)) + float(np.sum(d * d))
+            loo = math.sqrt(self.loo_sq)
+        for est in ests[:n]:
+            self.rows.append((float(est) / self.beta0, loo, width,
+                              self.counter.phase_reductions("ortho"),
+                              self.counter.solve_spmv()))
+        if conv is None and not exhausted:
+            return None
+        return i + n - 1, float(ests[n - 1]), exhausted
 
 
 def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig,
@@ -130,7 +135,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     # one basis for all cycles, one vector per row: a cycle reads only the
     # rows it wrote
     q = np.empty((cfg.restart_len + 1, len(b)))
-    rows = _Rows(counter)
+    rows = []
     beta0 = None
     converged = False
     breakdown = False
@@ -153,7 +158,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
             converged, final_rel = True, beta / beta0
             break
 
-        cyc = _Cycle(q, r, beta, beta0, cfg, rows)
+        cyc = _Cycle(q, r, beta, beta0, cfg, counter, rows)
         width = step.width
         signal = None
         while cyc.ls.ncols < cfg.restart_len and signal is None:
@@ -190,15 +195,16 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         counter.add("norms", "residual")
         final_rel = float(np.linalg.norm(b - op_res(x))) / beta0
 
+    residuals, loo, block_size, reductions_cum, spmv_cum = np.array(rows).reshape(-1, 5).T
     return SolveTrace(
         converged=converged,
         x=x,
         iterations=len(rows),
-        residuals=np.asarray(rows.residuals),
-        loo=np.asarray(rows.loo) if cfg.track_loo else np.full(len(rows), np.nan),
-        block_size=np.asarray(rows.block_size, dtype=np.int64),
-        reductions_cum=np.asarray(rows.reductions_cum, dtype=np.int64),
-        spmv_cum=np.asarray(rows.spmv_cum, dtype=np.int64),
+        residuals=residuals,
+        loo=loo,
+        block_size=block_size.astype(np.int64),
+        reductions_cum=reductions_cum.astype(np.int64),
+        spmv_cum=spmv_cum.astype(np.int64),
         block_sizes=[],
         cond_traces=[],
         counter=counter,
@@ -241,21 +247,14 @@ class _ColumnStep:
         hcol[i] = nrm
         if nrm != 0.0:
             q[i] = w / nrm
-        happy = not nrm > 0.0  # a NaN norm also ends the cycle
-        if cyc.cfg.track_loo and not happy:
-            c = q[:i] @ q[i]
-            cyc.loo_sq += 2.0 * float(c @ c)
-            cyc.loo_sq += (float(q[i] @ q[i]) - 1.0) ** 2
         try:
-            est = float(ls.append(hcol)[0])
+            ests = ls.append(hcol)
         except BreakdownError:
             # only a happy column can come out fully dependent: the space is
             # exhausted, so solve on the columns appended before it
             return i - 1, float(ls.residual_estimate), True
-        cyc.emit(est, math.sqrt(cyc.loo_sq), 1)
-        if est <= cyc.tol or happy:
-            return i, est, happy
-        return None
+        # a zero or NaN norm is a happy column: it ends the cycle
+        return cyc.record(i, ests, 1, exhausted=not nrm > 0.0)
 
 
 class _BlockStep:
@@ -287,43 +286,28 @@ class _BlockStep:
         s_eff = min(self.width, cfg.restart_len - i + 1)
         shifts = None if cfg.basis == "monomial" else self.ritz.cycled(s_eff)
         cob = build_change_of_basis(cfg.basis, s_eff, shifts)
-        blk = matrix_powers(self.op, q[i - 1], cob, cfg.overflow_limit)
-        self.wasted += s_eff - blk.ncols
+        blk = matrix_powers(self.op, q[i - 1], cob)
         outcome = None
         if blk.ncols > 0:
             try:
                 outcome = bcgs2_partial_cholqr(q[:i].T, blk.v, cfg.cond_limit,
                                                counter=self.counter)
             except BreakdownError:
-                self.wasted += blk.ncols
+                pass
+        p = 0 if outcome is None else outcome.p
+        self.wasted += s_eff - p
         if outcome is None:
             return self.fallback(cyc)
 
-        p = outcome.p
-        self.wasted += blk.ncols - p
         h_blk = assemble_hessenberg(outcome.r_hat, cob.dense(), cyc.h[:i, : i - 1])
         cyc.h[: i + p, i - 1 : i - 1 + p] = h_blk
         ests = ls.append(h_blk)
         q[i : i + p] = outcome.q_new.T
         self.block_sizes.append(p)
         self.cond_traces.append(outcome.cond_trace)
-        conv_t = next((t for t in range(p) if ests[t] <= cyc.tol), None)
-        emit = p if conv_t is None else conv_t + 1
-        if cfg.track_loo:
-            # measure only the columns the emitted iterations span;
-            # candidates past a convergence signal are never used
-            qn = q[i : i + emit]
-            c = q[:i] @ qn.T
-            d = qn @ qn.T - np.eye(emit)
-            cyc.loo_sq += 2.0 * float(np.sum(c * c)) + float(np.sum(d * d))
-        loo_val = math.sqrt(cyc.loo_sq)
-        for t in range(emit):
-            cyc.emit(float(ests[t]), loo_val, p)
         if p < s_eff:
             self.width = p
-        if conv_t is None:
-            return None
-        return i + conv_t, float(ests[conv_t]), False
+        return cyc.record(i, ests, p)
 
 
 def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None = None) -> RitzSet:
@@ -347,7 +331,7 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
     # keeps them out of the caller's solve phases
     own = ReductionCounter()
     step = _BlockStep(op, own, cfg, None, cfg.initial_step)
-    cyc = _Cycle(np.empty((k + 1, len(rhs))), rhs, beta, beta, cfg, _Rows(own))
+    cyc = _Cycle(np.empty((k + 1, len(rhs))), rhs, beta, beta, cfg, own, [])
     cyc.tol = -math.inf  # never stop on the least-squares estimate
     while cyc.ls.ncols < k:
         i = cyc.ls.ncols + 1
@@ -409,16 +393,19 @@ def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
 
     ritz supplies the shifts for the newton bases and the step estimate;
     when needed and not given it is harvested here with initial_step
-    Arnoldi iterations on op, unless b is zero and x0 not given.
+    Arnoldi iterations on op from the first residual, unless that is zero.
     """
     cfg = config if config is not None else SolverConfig()
     counter = counter if counter is not None else ReductionCounter()
     needs_ritz = cfg.basis != "monomial" or cfg.use_step_estimator
     if needs_ritz and ritz is None:
-        if x0 is None and not np.any(b):
+        r0 = b
+        if x0 is not None:
+            r0 = b - _counted(op, counter, "harvest")(np.asarray(x0, dtype=np.float64))
+        if not np.any(r0):
             # nothing to solve: the driver returns before its first step
             return _restarted_gmres(op, b, x0, cfg, counter, None)
-        ritz = ritz_harvest(op, b, cfg.initial_step, counter)
+        ritz = ritz_harvest(op, r0, cfg.initial_step, counter)
 
     s0_star = None
     width = cfg.initial_step

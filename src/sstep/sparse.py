@@ -220,51 +220,45 @@ def gen_diagonal(n: int, lo: float, hi: float) -> SparseMatrix:
     return SparseMatrix(n, np.arange(n + 1, dtype=idx), np.arange(n, dtype=idx), d)
 
 
-def gen_laplace2d(n: int) -> SparseMatrix:
-    """5-point Laplacian on an n x n grid with Dirichlet boundaries.
+def _grid_laplacian(n: int, dim: int) -> SparseMatrix:
+    """(2 dim + 1)-point Laplacian on an n^dim grid with Dirichlet boundaries.
 
-    Nodes are ordered lexicographically: node (i, j) -> i n + j.
-    Diagonal entries are 4, neighbor entries are -1.
+    Nodes are ordered lexicographically, so the neighbors of node j along
+    axis k are j -+ n**k, and j has no neighbor at j - n**k when it is
+    first along that axis: (j // n**k) % n == 0.  Diagonal entries are
+    2 dim, neighbor entries are -1.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return gen_diagonal(1, 4.0, 4.0)
-    N = n * n
-    main = np.full(N, 4.0)
-    ew = -np.ones(N - 1)
-    ew[np.arange(1, N) % n == 0] = 0.0  # no coupling across grid row boundaries
-    ns = -np.ones(N - n) if N > n else np.zeros(0)
-    m = _sp.diags([main, ew, ew, ns, ns], [0, 1, -1, n, -n], format="csr")
+    N = n**dim
+    bands, offsets = [np.full(N, 2.0 * dim)], [0]
+    # n = 1 leaves one node and no room for a band
+    for s in (n**k for k in range(dim) if n**k < N):
+        j = np.arange(s, N)
+        band = np.where((j // s) % n == 0, 0.0, -1.0)
+        bands += [band, band]
+        offsets += [s, -s]
+    m = _sp.diags(bands, offsets, format="csr")
     m.eliminate_zeros()
     m.sort_indices()
     return SparseMatrix(N, m.indptr, m.indices, m.data)
+
+
+def gen_laplace2d(n: int) -> SparseMatrix:
+    """5-point Laplacian on an n x n grid with Dirichlet boundaries.
+
+    Node (i, j) -> i n + j; diagonal entries are 4, neighbor entries -1.
+    """
+    return _grid_laplacian(n, 2)
 
 
 def gen_laplace3d(n: int) -> SparseMatrix:
     """7-point Laplacian on an n x n x n grid with Dirichlet boundaries.
 
-    Nodes are ordered lexicographically: node (i, j, k) -> (i n + j) n + k.
-    Diagonal entries are 6, neighbor entries are -1.
+    Node (i, j, k) -> (i n + j) n + k; diagonal entries are 6, neighbor
+    entries -1.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return gen_diagonal(1, 6.0, 6.0)
-    N = n * n * n
-    main = np.full(N, 6.0)
-    ez = -np.ones(N - 1)
-    ez[np.arange(1, N) % n == 0] = 0.0
-    ey = -np.ones(N - n) if N > n else np.zeros(0)
-    if N > n:
-        ey[np.arange(n, N) % (n * n) < n] = 0.0
-    ex = -np.ones(N - n * n) if N > n * n else np.zeros(0)
-    m = _sp.diags(
-        [main, ez, ez, ey, ey, ex, ex], [0, 1, -1, n, -n, n * n, -(n * n)], format="csr"
-    )
-    m.eliminate_zeros()
-    m.sort_indices()
-    return SparseMatrix(N, m.indptr, m.indices, m.data)
+    return _grid_laplacian(n, 3)
 
 
 @dataclass

@@ -108,6 +108,7 @@ def test_criterion_2_wide_scaled_newton_block():
                   f"orthogonality loss {loo:.2e} (<= 1e-11), {elapsed:.1f}s (< 60)")
 
 
+@pytest.mark.slow
 def test_criterion_3_laplace_grid_orthogonality():
     t0 = time.perf_counter()
     a = gen_laplace2d(400)
@@ -127,6 +128,7 @@ def test_criterion_3_laplace_grid_orthogonality():
                   f"({block_pattern_holds(tr.block_sizes, 6, 100)}), {elapsed:.0f}s (< 300)")
 
 
+@pytest.mark.slow
 def test_criterion_4_preconditioned_full_width_block(tmp_path):
     t0 = time.perf_counter()
     common = dict(matrix="lap2d:400", precond="ilu0", rhs="random", seed=42,

@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sstep.basis
 from sstep import (
     RitzSet,
     build_change_of_basis,
-    default_overflow_limit,
     leja_order,
     matrix_powers,
     newton_scalings,
@@ -210,17 +210,20 @@ class TestMatrixPowers:
         ref = matrix_powers(self.op, self.seed, build_change_of_basis("monomial", 3))
         npt.assert_array_equal(blk.v * [2.0, 4.0, 8.0], ref.v)
 
-    def test_overflow_guard_returns_finite_prefix(self):
+    def test_overflow_guard_returns_finite_prefix(self, monkeypatch):
+        assert sstep.basis.OVERFLOW_LIMIT == pytest.approx(1e10 / np.sqrt(np.finfo(float).eps))
         cob = build_change_of_basis("monomial", 6)
         grow = lambda v: 1e8 * v
-        blk = matrix_powers(grow, self.seed, cob, overflow_limit=1e20)
+        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e20)
+        blk = matrix_powers(grow, self.seed, cob)
         assert blk.truncated and blk.ncols == 2
-        full = matrix_powers(grow, self.seed, cob, overflow_limit=1e80)
+        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e80)
+        full = matrix_powers(grow, self.seed, cob)
         npt.assert_array_equal(blk.v, full.v[:, :2])
-        assert default_overflow_limit() == pytest.approx(1e10 / np.sqrt(np.finfo(float).eps))
 
-    def test_nonfinite_truncates(self):
+    def test_nonfinite_truncates(self, monkeypatch):
         cob = build_change_of_basis("monomial", 4)
         bad = lambda v: v * np.inf
-        blk = matrix_powers(bad, self.seed, cob, overflow_limit=np.inf)
+        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", np.inf)
+        blk = matrix_powers(bad, self.seed, cob)
         assert blk.truncated and blk.ncols == 0

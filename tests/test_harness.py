@@ -126,13 +126,15 @@ class TestProblemBuilding:
             RunManifest("diag:4:1:2")
 
     def test_manifest_is_the_solver_config(self, tmp_path):
-        man = small_manifest(cond_limit=1e5, overflow_limit=1e200)
+        man = small_manifest(cond_limit=1e5, growth_limit=1e200)
         assert isinstance(man, SolverConfig)
         res = run_experiment(man, str(tmp_path))
         block = res.summary["solver"]
         assert block.pop("kind") == "adaptive"
         assert block == {f.name: getattr(man, f.name) for f in fields(SolverConfig)}
-        assert block["overflow_limit"] == 1e200 and block["cond_limit"] == 1e5
+        assert block["growth_limit"] == 1e200 and block["cond_limit"] == 1e5
+        # the overflow guard is a library constant, not a setting
+        assert len(block) == 9 and "overflow_limit" not in block
 
 
 def small_manifest(**over):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sstep.basis
 import sstep.solvers
 from sstep import (
     BreakdownError,
@@ -149,16 +150,16 @@ class TestAdaptive:
         requested, cut = [], []
         mpk = sstep.solvers.matrix_powers
 
-        def spy(op, seed, cob, overflow_limit):
-            blk = mpk(op, seed, cob, overflow_limit)
+        def spy(op, seed, cob):
+            blk = mpk(op, seed, cob)
             requested.append(cob.s)
             cut.append(blk.truncated)
             return blk
 
         monkeypatch.setattr(sstep.solvers, "matrix_powers", spy)
+        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e3)
         a, b = diag_problem(200, 3)
-        cfg = SolverConfig(basis="monomial", initial_step=10, restart_len=60,
-                           overflow_limit=1e3)
+        cfg = SolverConfig(basis="monomial", initial_step=10, restart_len=60)
         tr = adaptive_gmres(a.matvec, b, config=cfg)
         assert tr.converged and len(tr.block_sizes) == len(requested) > 2
         assert cut[0] and tr.block_sizes[0] < 10
@@ -198,9 +199,10 @@ class TestAdaptive:
         assert tr.s0_star == 1
         assert max(tr.block_sizes) == 1
 
-    def test_forced_fallback_runs_as_plain_mgs(self):
+    def test_forced_fallback_runs_as_plain_mgs(self, monkeypatch):
+        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e-300)
         a, b, kw = PROBLEMS["forced-fallback"]
-        cfg = SolverConfig(basis="monomial", overflow_limit=1e-300, **kw)
+        cfg = SolverConfig(basis="monomial", **kw)
         tr = adaptive_gmres(a.matvec, b, config=cfg)
         assert tr.converged
         assert tr.block_sizes == []
@@ -209,10 +211,11 @@ class TestAdaptive:
 
 
 @pytest.mark.parametrize("a,b,kw", list(PROBLEMS.values()), ids=list(PROBLEMS))
-def test_forced_fallback_is_the_baseline(a, b, kw):
+def test_forced_fallback_is_the_baseline(a, b, kw, monkeypatch):
     # an overflow guard nothing passes sends every adaptive step down the
     # column fallback, which must then be the baseline step for step
-    cfg = SolverConfig(basis="monomial", overflow_limit=1e-300, **kw)
+    monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e-300)
+    cfg = SolverConfig(basis="monomial", **kw)
     ta = adaptive_gmres(a.matvec, b, config=cfg)
     tb = gmres_baseline(a.matvec, b, config=cfg)
     assert np.array_equal(ta.x, tb.x)
@@ -366,6 +369,40 @@ class TestEdgeBehavior:
         assert tr.final_relative_residual == 0.0 and tr.s0_star is None
         npt.assert_array_equal(tr.x, np.zeros(20))
         assert tr.counter.get("spmv", "harvest") == 0
+
+    @pytest.mark.parametrize("estimator", [False, True], ids=["fixed", "estimator"])
+    @pytest.mark.parametrize("basis", ["monomial", "newton", "scaled-newton"])
+    def test_harvest_starts_from_the_first_residual(self, basis, estimator, monkeypatch):
+        # b = 0 with x0 given: the Krylov space is that of r0 = -A x0, not of b
+        harvested = []
+        harvest = sstep.solvers.ritz_harvest
+
+        def spy(op, rhs, k, counter=None):
+            harvested.append(np.array(rhs))
+            return harvest(op, rhs, k, counter)
+
+        monkeypatch.setattr(sstep.solvers, "ritz_harvest", spy)
+        a, _ = diag_problem(20)
+        cfg = SolverConfig(basis=basis, initial_step=5, restart_len=10,
+                           use_step_estimator=estimator)
+        tr = adaptive_gmres(a.matvec, np.zeros(20), x0=np.ones(20), config=cfg)
+        assert tr.converged and tr.iterations == 98 and not tr.breakdown
+        if basis == "monomial" and not estimator:
+            assert harvested == [] and tr.counter.get("spmv", "harvest") == 0
+            return
+        npt.assert_array_equal(harvested, [-a.matvec(np.ones(20))])
+        own = ReductionCounter()
+        harvest(a.matvec, harvested[0], 5, own)
+        # the residual's operator application is the harvest's too
+        assert tr.counter.get("spmv", "harvest") == own.get("spmv", "harvest") + 1
+
+    def test_exact_x0_needs_no_harvest(self):
+        a = gen_diagonal(8, 2.0, 2.0)
+        b = np.random.default_rng(4).standard_normal(8)
+        cfg = SolverConfig(basis="newton", initial_step=2, restart_len=4)
+        tr = adaptive_gmres(a.matvec, b, x0=b / 2.0, config=cfg)
+        assert tr.converged and tr.iterations == 0
+        assert tr.counter.get("spmv", "harvest") == 1
 
     def test_exact_x0_returns_immediately(self):
         a = gen_diagonal(8, 2.0, 2.0)  # A = 2 I, so b / 2 is exact in floats

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from sstep import (
     SparseMatrix,
@@ -129,6 +130,23 @@ class TestGenerators:
             oracle = (np.kron(np.kron(t, i), i) + np.kron(np.kron(i, t), i)
                       + np.kron(np.kron(i, i), t))
             npt.assert_array_equal(gen_laplace3d(n).to_dense(), oracle)
+
+    @pytest.mark.parametrize("dim,n", [(2, 1), (2, 2), (2, 7), (2, 40),
+                                       (3, 1), (3, 2), (3, 7), (3, 12)])
+    def test_grid_csr_matches_scipy_kronecker_sum(self, dim, n):
+        # independent oracle at sizes past the dense ones: a sparse Kronecker
+        # sum of the 1-D stencil, compared array for array in CSR form
+        t = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+        oracle = t
+        for _ in range(dim - 1):
+            oracle = sp.kronsum(oracle, t)
+        oracle = sp.csr_matrix(oracle)
+        oracle.sort_indices()
+        a = (gen_laplace2d if dim == 2 else gen_laplace3d)(n)
+        assert a.n == n**dim
+        npt.assert_array_equal(a.indptr, oracle.indptr)
+        npt.assert_array_equal(a.indices, oracle.indices)
+        npt.assert_array_equal(a.data, oracle.data)
 
     def test_generators_reject_nonpositive_n(self):
         for gen in (gen_laplace2d, gen_laplace3d):
