@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .basis import RitzSet, build_change_of_basis, matrix_powers
-from .blockqr import bcgs2_partial_cholqr
+from .blockqr import bcgs2_partial_cholqr, project
 from .dense import BreakdownError, GivensLs, hessenberg_eigenvalues, negligible
 from .estimator import estimate_initial_step
 from .harness import COUNTER_KINDS, ReductionCounter, SolverConfig
@@ -103,7 +103,7 @@ class _Cycle:
         if self.cfg.track_loo:
             if not exhausted:
                 q, new = self.q, self.q[i : i + n]
-                c = q[:i] @ new.T
+                c = project(q[:i], new)
                 d = new @ new.T - np.eye(n)
                 self.loo_sq += 2.0 * float(np.sum(c * c)) + float(np.sum(d * d))
             loo = math.sqrt(self.loo_sq)

@@ -5,7 +5,9 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
 
+import sstep.blockqr
 from sstep import BreakdownError, ReductionCounter, bcgs2_partial_cholqr
+from sstep.blockqr import project
 
 
 def ortho_basis(rng, n, i):
@@ -136,6 +138,53 @@ class TestIllConditioned:
         with pytest.raises(BreakdownError, match="span"):
             bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
         assert counter.phase_reductions("ortho") == 2
+
+
+def tiles_of(monkeypatch, i, width):
+    """Set the tile budget so that a basis of i rows is summed width columns at a time."""
+    monkeypatch.setattr(sstep.blockqr, "TILE_BYTES", 8 * max(i, 1) * width)
+
+
+class TestTiledProjections:
+    @pytest.mark.parametrize("n,i,width", [(45, 1, 45), (45, 1, 44), (45, 7, 6),
+                                           (45, 7, 1), (45, 0, 4), (50, 3, 7)])
+    def test_project_sums_tiles_to_the_product(self, monkeypatch, n, i, width):
+        rng = np.random.default_rng(50)
+        qt = rng.standard_normal((i, n))
+        rows = rng.standard_normal((5, n))
+        tiles_of(monkeypatch, i, width)
+        c = project(qt, rows)
+        assert c.shape == (i, 5)
+        npt.assert_allclose(c, qt @ rows.T, rtol=0, atol=1e-13)
+        if width >= n:
+            # one tile is the single product
+            npt.assert_array_equal(c, qt @ rows.T)
+
+    @pytest.mark.parametrize("i", [0, 1, 7])
+    @pytest.mark.parametrize("s", [1, 5])
+    @pytest.mark.parametrize("n", [40, 47])
+    def test_many_tiles_match_one_product(self, monkeypatch, n, i, s):
+        # tiles of 6 columns: several full tiles and a ragged last one
+        rng = np.random.default_rng(51)
+        q = ortho_basis(rng, n, i)
+        v = rng.standard_normal((n, s))
+        whole = bcgs2_partial_cholqr(q, v, 1e7)
+        tiles_of(monkeypatch, i, 6)
+        counter = ReductionCounter()
+        tiled = bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
+        assert counter.phase_reductions("ortho") == 4
+        assert (tiled.p, tiled.stopped_by) == (whole.p, whole.stopped_by)
+        npt.assert_allclose(tiled.q_new, whole.q_new, rtol=0, atol=1e-14)
+        npt.assert_allclose(tiled.r_hat, whole.r_hat, rtol=0, atol=1e-14)
+        npt.assert_allclose(tiled.cond_trace, whole.cond_trace, rtol=1e-14)
+
+    @pytest.mark.parametrize("stop", ["test_roundoff_candidate_ends_prefix_as_pivot_stop",
+                                      "test_first_candidate_in_span_breaks_down_after_first_pass"])
+    def test_stops_hold_across_tiles(self, monkeypatch, stop):
+        # both project n = 40 rows against i = 3 basis vectors: six tiles of
+        # 6 columns and a ragged one of 4
+        tiles_of(monkeypatch, 3, 6)
+        getattr(TestIllConditioned(), stop)()
 
 
 class TestGuards:

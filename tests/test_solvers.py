@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sstep.basis
+import sstep.blockqr
 import sstep.solvers
 from sstep import (
     BreakdownError,
@@ -331,6 +332,23 @@ def test_ortho_reductions_are_four_per_block_on_random_problems(seed, n, basis, 
     # a block that keeps no column (past an exhausted Krylov space) stops
     # after the two events of its first pass and falls back
     assert counter.phase_reductions("ortho") == 4 * len(tr.block_sizes) + 2 * sum(broken)
+
+
+# a tile budget of five doubles sums every projection over tiles of at most
+# five columns, so every block of the two properties above crosses tiles
+FIVE_COLUMN_TILES = 5 * 8
+
+
+@quiet_floored_scales
+def test_arnoldi_relation_after_every_block_across_tiles():
+    with mock.patch.object(sstep.blockqr, "TILE_BYTES", FIVE_COLUMN_TILES):
+        test_arnoldi_relation_after_every_block()
+
+
+@quiet_floored_scales
+def test_ortho_reductions_are_four_per_block_across_tiles():
+    with mock.patch.object(sstep.blockqr, "TILE_BYTES", FIVE_COLUMN_TILES):
+        test_ortho_reductions_are_four_per_block_on_random_problems()
 
 
 class TestEdgeBehavior:
