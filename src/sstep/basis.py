@@ -59,37 +59,15 @@ def leja_order(values) -> np.ndarray:
     return vals[np.asarray(order)]
 
 
-def _derive_roles(vals: np.ndarray) -> np.ndarray:
-    """Tag each position: 0 real, 1 first of a conjugate pair, 2 second."""
-    n = len(vals)
-    roles = np.zeros(n, dtype=np.uint8)
-    k = 0
-    while k < n:
-        if vals[k].imag == 0.0:
-            k += 1
-        elif k + 1 < n and vals[k + 1] == np.conj(vals[k]):
-            roles[k], roles[k + 1] = 1, 2
-            k += 2
-        elif k == n - 1:
-            # pair cut off by truncation; the single step needs only Re
-            roles[k] = 1
-            k += 1
-        else:
-            raise ValueError(f"value {vals[k]} at position {k} has no adjacent conjugate")
-    return roles
-
-
 @dataclass
 class RitzSet:
-    """Shift values in Leja order with conjugate-pair tags."""
+    """Shift values in Leja order, which keeps each conjugate pair adjacent."""
 
     values: np.ndarray
-    pair_role: np.ndarray
 
     @classmethod
     def from_values(cls, values) -> "RitzSet":
-        ordered = leja_order(values)
-        return cls(ordered, _derive_roles(ordered))
+        return cls(leja_order(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -101,8 +79,7 @@ class RitzSet:
         """
         if k <= len(self.values):
             return self
-        ext = np.resize(self.values, k)
-        return RitzSet(ext, _derive_roles(ext))
+        return RitzSet(np.resize(self.values, k))
 
 
 def newton_scalings(values):
@@ -129,13 +106,12 @@ class ChangeOfBasis:
 
     Step k maps column k to column k+1 as
         v_{k+1} = (A v_k - shift[k] v_k + coupling[k] v_{k-1}) / scale[k]
-    where coupling is nonzero only at pair-second steps.
+    where coupling is nonzero only at the step that closes a conjugate pair.
     """
 
     shift: np.ndarray
     scale: np.ndarray
     coupling: np.ndarray
-    pair_role: np.ndarray
 
     @property
     def s(self) -> int:
@@ -143,13 +119,11 @@ class ChangeOfBasis:
 
     def dense(self) -> np.ndarray:
         """The (s+1) x s matrix B with A V_{0:s-1} = V_{0:s} B exactly."""
-        s = self.s
-        b = np.zeros((s + 1, s))
-        for k in range(s):
-            b[k, k] = self.shift[k]
-            b[k + 1, k] = self.scale[k]
-            if self.pair_role[k] == 2:
-                b[k - 1, k] = -self.coupling[k]
+        k = np.arange(self.s)
+        b = np.zeros((self.s + 1, self.s))
+        b[k, k] = self.shift
+        b[k + 1, k] = self.scale
+        b[k[:-1], k[1:]] -= self.coupling[1:]
         return b
 
 
@@ -161,13 +135,14 @@ def build_change_of_basis(kind: str, s: int, ritz: RitzSet | None = None) -> Cha
     'scaled-newton' : shifts from the Ritz set, scale gamma_k = |mean - theta_k|
                       floored at eps * max|theta| (mean and floor over the
                       whole set so the scalings agree across block sizes).
+
+    Each step shifts by a real part.  A complex value followed by its
+    conjugate couples the next step; one in the last position is one step.
     """
     if s < 1:
         raise ValueError("s must be positive")
     if kind == "monomial":
-        return ChangeOfBasis(
-            np.zeros(s), np.ones(s), np.zeros(s), np.zeros(s, dtype=np.uint8)
-        )
+        return ChangeOfBasis(np.zeros(s), np.ones(s), np.zeros(s))
     if kind not in ("newton", "scaled-newton"):
         raise ValueError(f"unknown basis kind '{kind}'")
     if ritz is None:
@@ -175,7 +150,6 @@ def build_change_of_basis(kind: str, s: int, ritz: RitzSet | None = None) -> Cha
     if s > len(ritz.values):
         raise ValueError(f"need at least {s} shift values, have {len(ritz.values)}")
     vals = ritz.values[:s]
-    roles = np.asarray(ritz.pair_role[:s], dtype=np.uint8).copy()
     shift = np.ascontiguousarray(vals.real, dtype=np.float64)
     if kind == "newton":
         scale = np.ones(s)
@@ -185,11 +159,16 @@ def build_change_of_basis(kind: str, s: int, ritz: RitzSet | None = None) -> Cha
             warnings.warn("all scale factors hit the floor; shifts are clustered at their mean")
         scale = gam[:s].copy()
     coupling = np.zeros(s)
-    for k in range(s):
-        if roles[k] == 2:
-            b = vals[k].imag
-            coupling[k] = (b * b) / scale[k - 1]
-    return ChangeOfBasis(shift, scale, coupling, roles)
+    k = 0
+    while k < s - 1:
+        b = vals[k].imag
+        if b != 0.0:
+            if vals[k + 1] != np.conj(vals[k]):
+                raise ValueError(f"value {vals[k]} at position {k} has no adjacent conjugate")
+            coupling[k + 1] = (b * b) / scale[k]
+            k += 1
+        k += 1
+    return ChangeOfBasis(shift, scale, coupling)
 
 
 @dataclass
@@ -198,13 +177,11 @@ class KrylovBlock:
 
     v is n x ncols, the transpose view of a C-order array that holds one
     generated vector per contiguous row, so v.T streams whole vectors
-    (the seed is not included).  truncated means the column-norm guard
-    cut generation short of the requested count.
+    (the seed is not included).
     """
 
     v: np.ndarray
     ncols: int
-    truncated: bool
 
 
 def matrix_powers(op, seed: np.ndarray, cob: ChangeOfBasis) -> KrylovBlock:
@@ -222,12 +199,12 @@ def matrix_powers(op, seed: np.ndarray, cob: ChangeOfBasis) -> KrylovBlock:
     prev = seed
     for k in range(s):
         w = op(prev) - cob.shift[k] * prev
-        if cob.pair_role[k] == 2:
+        if cob.coupling[k] != 0.0:
             w += cob.coupling[k] * prev2
         w /= cob.scale[k]
         nrm = float(np.linalg.norm(w))
         if not math.isfinite(nrm) or nrm > OVERFLOW_LIMIT:
-            return KrylovBlock(rows[:k].T, k, True)
+            return KrylovBlock(rows[:k].T, k)
         rows[k] = w
         prev2, prev = prev, w
-    return KrylovBlock(rows.T, s, False)
+    return KrylovBlock(rows.T, s)

@@ -48,8 +48,8 @@ def estimate_initial_step(values, growth_limit: float = DEFAULT_GROWTH_LIMIT) ->
     The per-step factor for component i at step k is
     |theta_i - theta_k| / gamma_k, replaced by DEFAULT_EPS_MODEL (read at
     call time) when the numerator vanishes (k = i or exact duplicates).
-    Entry (i, j) is the product of the first j-1 factors of row i, except
-    the diagonal which takes the product through step i itself.  All
+    Entry (i, j), counted from 0, is the product of the first j factors of
+    row i, except the diagonal which takes the product through step i.  All
     products accumulate in log space; column norms come out through a
     stable log-sum-exp.
     """
@@ -61,25 +61,19 @@ def estimate_initial_step(values, growth_limit: float = DEFAULT_GROWTH_LIMIT) ->
     log_eps = math.log(DEFAULT_EPS_MODEL)
     log_gam = np.log(gam)
 
-    logg = np.empty((s, s))
-    for i in range(s):
-        d = np.abs(vals[i] - vals)
-        with np.errstate(divide="ignore"):
-            logg[i] = np.log(d) - log_gam
-        logg[i, d == 0.0] = log_eps
+    d = np.abs(vals[:, None] - vals)
+    with np.errstate(divide="ignore"):
+        logg = np.where(d == 0.0, log_eps, np.log(d) - log_gam)
 
-    log_e = np.empty((s, s))
-    for i in range(s):
-        cs = np.concatenate(([0.0], np.cumsum(logg[i])))
-        log_e[i] = cs[:s]
-        log_e[i, i] = cs[i + 1]
+    cs = np.cumsum(logg, axis=1)
+    log_e = np.hstack([np.zeros((s, 1)), cs[:, :-1]])
+    np.fill_diagonal(log_e, np.diagonal(cs))
 
-    norms = np.empty(s)
-    for j in range(s):
-        m = float(np.max(log_e[:, j]))
-        body = math.sqrt(float(np.sum(np.exp(2.0 * (log_e[:, j] - m)))))
-        with np.errstate(over="ignore"):
-            norms[j] = np.exp(m) * body
+    # each column summed as one contiguous row: the order the norms depend on
+    m = np.max(log_e, axis=0)
+    body = np.sqrt(np.exp(2.0 * (np.ascontiguousarray(log_e.T) - m[:, None])).sum(axis=1))
+    with np.errstate(over="ignore"):
+        norms = np.exp(m) * body
 
     below = np.nonzero(norms < growth_limit)[0]
     s0_star = int(below[-1]) + 1 if len(below) else 1

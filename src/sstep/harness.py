@@ -13,6 +13,7 @@ import ctypes
 import io
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, fields
@@ -101,6 +102,16 @@ CHOICES = {
 }
 
 
+# annotated field type -> (what it takes, test); numpy scalars pass, and a
+# bool counts only as a bool
+_FIELD_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "bool": ("a bool", lambda v: isinstance(v, (bool, np.bool_))),
+    "str | None": ("a str or None", lambda v: v is None or isinstance(v, str)),
+}
+
+
 def _check_choice(obj, name: str):
     value = getattr(obj, name)
     if value not in CHOICES[name]:
@@ -123,7 +134,8 @@ class SolverConfig:
     track_loo        : record basis orthogonality loss per iteration
                        (diagnostic only, never counted as reductions).
 
-    Infinite cond_limit and growth_limit mean no limit.
+    Infinite cond_limit and growth_limit mean no limit.  Every field is
+    checked by type and range when the config is built.
     """
 
     basis: str = "monomial"
@@ -137,6 +149,11 @@ class SolverConfig:
     track_loo: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, ok = _FIELD_KINDS.get(f.type, (None, lambda v: True))
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         _check_choice(self, "basis")
         if self.initial_step < 1:
             raise ValueError("initial_step must be positive")

@@ -12,7 +12,6 @@ from sstep import (
     matrix_powers,
     newton_scalings,
 )
-from sstep.basis import _derive_roles
 
 
 def greedy_product_order(values):
@@ -68,29 +67,50 @@ class TestLejaOrder:
             leja_order([])
 
 
+def conjugate_spectrum(rng, npairs, nreal):
+    """Conjugate pairs, reals and duplicates of both, in Leja order."""
+    re, im = rng.uniform(-2, 8, npairs), rng.uniform(0.1, 3, npairs)
+    re, im = np.append(re, re[:2]), np.append(im, im[:2])
+    reals = rng.uniform(-2, 8, nreal)
+    return leja_order(np.concatenate([re + 1j * im, re - 1j * im, reals, reals[:2]]))
+
+
 class TestRoles:
-    def test_real_values_are_role_zero(self):
-        npt.assert_array_equal(_derive_roles(np.array([1.0, 2.0], dtype=complex)), [0, 0])
+    """Each position's part in a conjugate pair, read from the coupling that alone marks it."""
+
+    @staticmethod
+    def coupling(values, s=None):
+        rs = RitzSet(np.asarray(values, dtype=complex))
+        return build_change_of_basis("newton", s or len(rs), rs).coupling
+
+    def test_real_values_have_no_coupling(self):
+        npt.assert_array_equal(self.coupling([1.0, 2.0]), [0.0, 0.0])
 
     def test_pair_tagging(self):
         rs = RitzSet.from_values([2.0, 1 + 1j, 1 - 1j])
-        npt.assert_array_equal(rs.pair_role, [0, 1, 2])
+        cob = build_change_of_basis("newton", 3, rs)
+        npt.assert_array_equal(cob.coupling, [0.0, 0.0, 1.0])
+        npt.assert_array_equal(cob.shift, [2.0, 1.0, 1.0])
 
     def test_trailing_cut_pair_tolerated(self):
-        roles = _derive_roles(np.array([3.0, 1 + 2j], dtype=complex))
-        npt.assert_array_equal(roles, [0, 1])
+        npt.assert_array_equal(self.coupling([3.0, 1 + 2j]), [0.0, 0.0])
+        npt.assert_array_equal(self.coupling([3.0, 1 + 2j, 1 - 2j], s=2), [0.0, 0.0])
 
     def test_interior_unpaired_raises(self):
         with pytest.raises(ValueError, match="no adjacent conjugate"):
-            _derive_roles(np.array([1 + 1j, 5.0], dtype=complex))
+            self.coupling([1 + 1j, 5.0])
+        with pytest.raises(ValueError, match="no adjacent conjugate"):
+            self.coupling([1 + 1j, 1 + 1j, 5.0])
 
     def test_cycled_repeats_with_consistent_roles(self):
         rs = RitzSet.from_values([1 + 1j, 1 - 1j])
         ext = rs.cycled(5)
         npt.assert_array_equal(ext.values, [1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j, 1 + 1j])
-        npt.assert_array_equal(ext.pair_role, [1, 2, 1, 2, 1])
         assert rs.cycled(2) is rs
         assert len(ext) == 5
+        cob = build_change_of_basis("scaled-newton", 5, ext)
+        c = 1.0 / cob.scale[0]
+        npt.assert_array_equal(cob.coupling, [0.0, c, 0.0, c, 0.0])
 
 
 class TestNewtonScalings:
@@ -134,7 +154,31 @@ class TestChangeOfBasis:
     def test_truncation_can_cut_a_pair(self):
         rs = RitzSet.from_values([5.0, 1 + 2j, 1 - 2j])
         cob = build_change_of_basis("scaled-newton", 2, rs)
-        npt.assert_array_equal(cob.pair_role, [0, 1])
+        npt.assert_array_equal(cob.shift, [5.0, 1.0])
+        npt.assert_array_equal(cob.coupling, [0.0, 0.0])
+        assert not np.signbit(cob.dense()).any()
+
+    @staticmethod
+    def dense_by_rows(cob):
+        """Reference: B filled one step at a time, the coupling above a closing step."""
+        b = np.zeros((cob.s + 1, cob.s))
+        for k in range(cob.s):
+            b[k, k] = cob.shift[k]
+            b[k + 1, k] = cob.scale[k]
+            if cob.coupling[k] != 0.0:
+                b[k - 1, k] = -cob.coupling[k]
+        return b
+
+    @pytest.mark.parametrize("kind", ["newton", "scaled-newton"])
+    def test_dense_matches_row_loop_bitwise(self, kind):
+        rng = np.random.default_rng(17)
+        for npairs, nreal in [(0, 5), (1, 0), (3, 4), (6, 1), (9, 7)]:
+            rs = RitzSet(conjugate_spectrum(rng, npairs, nreal))
+            for s in range(1, len(rs) + 4):
+                cob = build_change_of_basis(kind, s, rs.cycled(s))
+                got, want = cob.dense(), self.dense_by_rows(cob)
+                npt.assert_array_equal(got, want)
+                npt.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_input_guards(self):
         rs = RitzSet.from_values([1.0, 2.0])
@@ -174,7 +218,7 @@ class TestMatrixPowers:
         rs = RitzSet.from_values(shifts) if shifts else None
         cob = build_change_of_basis(kind, 4, rs)
         blk = matrix_powers(self.op, self.seed, cob)
-        assert blk.ncols == 4 and not blk.truncated
+        assert blk.ncols == 4
         vfull = np.column_stack([self.seed, blk.v])
         lhs = self.a @ vfull[:, :4]
         rhs = vfull @ cob.dense()
@@ -182,20 +226,18 @@ class TestMatrixPowers:
         npt.assert_allclose(lhs, rhs, atol=1e-13 * np.linalg.norm(self.a) * scale)
 
     def test_matches_explicit_recurrence_bitwise(self):
-        rs = RitzSet.from_values([1.8, 1.2, 1.5])
-        cob = build_change_of_basis("scaled-newton", 3, rs)
+        rs = RitzSet.from_values([1.8, 1.2 + 0.3j, 1.2 - 0.3j, 1.5])
+        cob = build_change_of_basis("scaled-newton", 4, rs)
+        assert np.count_nonzero(cob.coupling) == 1
         blk = matrix_powers(self.op, self.seed, cob)
-        prev2, prev = None, self.seed
-        for k in range(3):
-            w = self.op(prev) - cob.shift[k] * prev
-            if cob.pair_role[k] == 2:
-                w += cob.coupling[k] * prev2
-            w /= cob.scale[k]
+        prev2, prev = np.zeros_like(self.seed), self.seed
+        for k in range(4):
+            w = (self.op(prev) - cob.shift[k] * prev + cob.coupling[k] * prev2) / cob.scale[k]
             npt.assert_array_equal(blk.v[:, k], w)
             prev2, prev = prev, w
 
     def test_zero_shift_unit_scale_equals_monomial_bitwise(self):
-        rs = RitzSet(np.zeros(3, dtype=complex), np.zeros(3, dtype=np.uint8))
+        rs = RitzSet(np.zeros(3, dtype=complex))
         newton = build_change_of_basis("newton", 3, rs)
         mono = build_change_of_basis("monomial", 3)
         npt.assert_array_equal(newton.shift, mono.shift[:3])
@@ -216,7 +258,7 @@ class TestMatrixPowers:
         grow = lambda v: 1e8 * v
         monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e20)
         blk = matrix_powers(grow, self.seed, cob)
-        assert blk.truncated and blk.ncols == 2
+        assert blk.ncols == 2
         monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e80)
         full = matrix_powers(grow, self.seed, cob)
         npt.assert_array_equal(blk.v, full.v[:, :2])
@@ -226,4 +268,4 @@ class TestMatrixPowers:
         bad = lambda v: v * np.inf
         monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", np.inf)
         blk = matrix_powers(bad, self.seed, cob)
-        assert blk.truncated and blk.ncols == 0
+        assert blk.ncols == 0

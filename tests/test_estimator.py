@@ -36,6 +36,31 @@ def direct_growth(vals, eps_model):
     return e
 
 
+def estimate_by_rows(vals):
+    """Reference: the log-space model filled one row and one column at a time."""
+    vals = np.asarray(vals, dtype=np.complex128)
+    s = len(vals)
+    log_gam = np.log(newton_scalings(vals)[0])
+    logg = np.empty((s, s))
+    for i in range(s):
+        d = np.abs(vals[i] - vals)
+        with np.errstate(divide="ignore"):
+            logg[i] = np.log(d) - log_gam
+        logg[i, d == 0.0] = math.log(EPS)
+    log_e = np.empty((s, s))
+    for i in range(s):
+        cs = np.concatenate(([0.0], np.cumsum(logg[i])))
+        log_e[i] = cs[:s]
+        log_e[i, i] = cs[i + 1]
+    norms = np.empty(s)
+    for j in range(s):
+        m = float(np.max(log_e[:, j]))
+        body = math.sqrt(float(np.sum(np.exp(2.0 * (log_e[:, j] - m)))))
+        with np.errstate(over="ignore"):
+            norms[j] = np.exp(m) * body
+    return log_e, norms
+
+
 def test_defaults():
     assert DEFAULT_EPS_MODEL == 2.0 ** -53
     assert DEFAULT_GROWTH_LIMIT == pytest.approx(0.1 / math.sqrt(np.finfo(float).eps))
@@ -111,3 +136,20 @@ def test_growth_below_diagonal_is_partial_products():
 def test_input_guards():
     with pytest.raises(ValueError, match="at least one"):
         estimate_initial_step([])
+
+
+@pytest.mark.parametrize("npairs,nreal", [(0, 1), (0, 9), (2, 3), (5, 12), (18, 4), (40, 30)])
+def test_matches_row_loop_reference_bitwise(npairs, nreal):
+    # criterion 5's s0* rides on this summation order, so equal to the last bit
+    rng = np.random.default_rng(npairs * 100 + nreal)
+    re, im = rng.uniform(0.1, 9.0, npairs), rng.uniform(0.05, 2.0, npairs)
+    reals = rng.uniform(0.1, 9.0, nreal)
+    vals = np.concatenate([re + 1j * im, re - 1j * im, reals, reals[:3], re[:2] + 1j * im[:2],
+                           re[:2] - 1j * im[:2]])
+    for order in (RitzSet.from_values(vals).values, vals):
+        out = estimate_initial_step(order)
+        log_e, norms = estimate_by_rows(order)
+        npt.assert_array_equal(out.log_growth, log_e)
+        npt.assert_array_equal(out.col_norms, norms)
+        below = np.nonzero(norms < DEFAULT_GROWTH_LIMIT)[0]
+        assert out.s0_star == (int(below[-1]) + 1 if len(below) else 1)

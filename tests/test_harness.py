@@ -120,6 +120,36 @@ class TestProblemBuilding:
         with pytest.raises(ValueError, match=msg):
             RunManifest(matrix="diag:4:1:2", **kwargs)
 
+    @pytest.mark.parametrize("kwargs,msg", [
+        (dict(initial_step=2.5), "initial_step must be an integer, got 2.5"),
+        (dict(restart_len=True), "restart_len must be an integer, got True"),
+        (dict(track_loo="no"), "track_loo must be a bool, got 'no'"),
+        (dict(use_step_estimator=1), "use_step_estimator must be a bool, got 1"),
+        (dict(rel_tol="1e-8"), "rel_tol must be a real number, got '1e-8'"),
+        (dict(cond_limit=False), "cond_limit must be a real number, got False"),
+    ])
+    def test_settings_are_type_checked(self, kwargs, msg):
+        with pytest.raises(ValueError, match=msg):
+            SolverConfig(**kwargs)
+        with pytest.raises(ValueError, match=msg):
+            RunManifest(matrix="diag:4:1:2", **kwargs)
+
+    @pytest.mark.parametrize("kwargs,msg", [
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=np.float64(2.0)), "seed must be an integer"),
+        (dict(label=7), "label must be a str or None, got 7"),
+    ])
+    def test_manifest_fields_are_type_checked(self, kwargs, msg):
+        with pytest.raises(ValueError, match=msg):
+            RunManifest(matrix="lap2d:5", rhs="random", **kwargs)
+
+    def test_numpy_scalars_and_ints_for_floats_pass(self):
+        cfg = SolverConfig(initial_step=np.int64(3), max_restarts=np.int32(0), rel_tol=1,
+                           cond_limit=np.float32(1e5), growth_limit=np.inf,
+                           track_loo=np.bool_(True))
+        assert cfg.initial_step == 3 and cfg.track_loo
+        assert RunManifest(matrix="lap2d:5", seed=np.uint8(4), label=None).seed == 4
+
     def test_manifest_takes_keywords_only(self):
         # a positional matrix would otherwise land in an inherited solver field
         with pytest.raises(TypeError):
