@@ -3,7 +3,8 @@
 The block is projected against the existing basis twice, then factored by
 Cholesky QR with a per-column condition watchdog.  When the next column
 would push the triangular factor past the limit, the factorization stops
-and the well-conditioned prefix survives.
+and the well-conditioned prefix survives.  The accepted columns overwrite
+the first candidates in place.
 """
 
 import numpy as np
@@ -19,16 +20,17 @@ cand = rng.standard_normal((n, 6))
 cand[:, 4] = cand[:, 0] + 1e-9 * rng.standard_normal(n)
 cand[:, 5] = cand[:, 1] - 1e-10 * rng.standard_normal(n)
 
+offered = cand.copy()
 out = bcgs2_partial_cholqr(q0, cand, cond_limit=1e7)
-print("candidates offered:", cand.shape[1])
+print("candidates offered:", offered.shape[1])
 print("columns accepted:  ", out.p, f"(stopped by {out.stopped_by!r})")
 print("condition trace:   ", [f"{v:.2e}" for v in out.cond_trace])
 
-q = np.hstack([q0, out.q_new])
+q = np.hstack([q0, cand[:, : out.p]])
 print("\northogonality of the extended basis:",
       f"{np.max(np.abs(q.T @ q - np.eye(q.shape[1]))):.2e}")
 
 # the coefficient block reproduces the accepted candidates
-recon = np.hstack([q0, out.q_new]) @ out.r_hat[:, 1 : out.p + 1]
+recon = q @ out.r_hat[:, 1 : out.p + 1]
 print("accepted candidates reconstructed:",
-      np.allclose(recon, cand[:, : out.p], atol=1e-12))
+      np.allclose(recon, offered[:, : out.p], atol=1e-12))

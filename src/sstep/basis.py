@@ -1,5 +1,8 @@
 """Krylov basis construction: shift ordering, recurrence coefficients, matrix powers.
 
+The matrix powers kernel is the bare recurrence into rows the caller gives:
+it takes no norm, so it makes no reduction; the block QR decides what stays.
+
 Complex shifts are handled in real arithmetic.  A conjugate pair occupies
 two adjacent recurrence steps: the first step uses only the real part, the
 second closes the pair with a coupling term, so every generated vector is
@@ -13,10 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-# column-norm guard of the matrix-powers kernel, read at each call
-OVERFLOW_LIMIT = 1e10 / math.sqrt(np.finfo(np.float64).eps)
-
 
 def leja_order(values) -> np.ndarray:
     """Greedy max-product ordering of shift values.
@@ -175,36 +174,31 @@ def build_change_of_basis(kind: str, s: int, ritz: RitzSet | None = None) -> Cha
 class KrylovBlock:
     """Output of the matrix-powers kernel.
 
-    v is n x ncols, the transpose view of a C-order array that holds one
-    generated vector per contiguous row, so v.T streams whole vectors
-    (the seed is not included).
+    v is n x ncols, the transpose view of the rows the kernel filled (not
+    the seed), so v.T streams whole vectors when they are C-order.  ncols
+    is always the width of the change of basis.
     """
 
     v: np.ndarray
     ncols: int
 
 
-def matrix_powers(op, seed: np.ndarray, cob: ChangeOfBasis) -> KrylovBlock:
-    """Generate s new Krylov columns from a seed vector via the recurrence.
+def matrix_powers(op, rows: np.ndarray, cob: ChangeOfBasis) -> KrylovBlock:
+    """Generate s new Krylov vectors into rows[1:s+1] from the seed in rows[0].
 
-    op is the operator as a callable (preconditioning folded in by the
-    caller).  Each generated vector fills one row of an s x n array.
-    Generation stops early when a column norm exceeds OVERFLOW_LIMIT or
-    turns nonfinite, returning the finite prefix.
+    rows is an (s + 1) x n float64 array, one vector per row; the solver
+    passes the basis rows the block will occupy.  op is the operator as a
+    callable (preconditioning folded in by the caller).  No norm is taken
+    and an overflowing block warns nowhere: the block QR drops what overflowed.
     """
-    seed = np.asarray(seed, dtype=np.float64)
     s = cob.s
-    rows = np.empty((s, len(seed)))
-    prev2: np.ndarray | None = None
-    prev = seed
-    for k in range(s):
-        w = op(prev) - cob.shift[k] * prev
-        if cob.coupling[k] != 0.0:
-            w += cob.coupling[k] * prev2
-        w /= cob.scale[k]
-        nrm = float(np.linalg.norm(w))
-        if not math.isfinite(nrm) or nrm > OVERFLOW_LIMIT:
-            return KrylovBlock(rows[:k].T, k)
-        rows[k] = w
-        prev2, prev = prev, w
-    return KrylovBlock(rows.T, s)
+    if rows.ndim != 2 or rows.shape[0] != s + 1:
+        raise ValueError(f"rows must hold the seed and {s} vectors, got shape {rows.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(s):
+            prev, w = rows[k], rows[k + 1]
+            np.subtract(op(prev), cob.shift[k] * prev, out=w)
+            if cob.coupling[k] != 0.0:
+                w += cob.coupling[k] * rows[k - 1]
+            w /= cob.scale[k]
+    return KrylovBlock(rows[1:].T, s)

@@ -4,7 +4,9 @@ One call performs block classical Gram-Schmidt with a full second pass,
 using the condition-limited Cholesky factorization on each pass so only a
 well-conditioned prefix of the candidate block survives.  Per call there
 are exactly four block reduction events: projection, Gram product,
-projection, Gram product, independent of how many columns survive.
+projection, Gram product, independent of how many columns survive.  The
+candidates are overwritten in place, so a block generated into the basis
+rows it will occupy is orthonormalized there, with no copy.
 
 The two projections are summed over tiles of the basis along its length,
 each tile about TILE_BYTES.  A narrow block against a tall basis is a
@@ -15,12 +17,16 @@ while the candidates stream past it reads the basis at memory speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
 from .dense import BreakdownError, PartialCholeskyResult, negligible, partial_cholesky
+
+# a candidate whose norm is above this, or not finite, ends its block's kept prefix
+OVERFLOW_LIMIT = 1e10 / math.sqrt(np.finfo(np.float64).eps)
 
 # bytes of basis per projection tile: a quarter of a 2 MB per-core L2
 # cache, so the tile stays cached while the candidates stream past it
@@ -29,11 +35,8 @@ TILE_BYTES = 1 << 19
 
 @dataclass
 class BlockQrOutcome:
-    """Accepted columns and coefficients from one block orthonormalization.
+    """Coefficients and stop of one block orthonormalization.
 
-    q_new      : n x p orthonormal columns extending the basis, the
-                 transpose view of a C-order p x n array, so q_new.T
-                 holds one new vector per contiguous row.
     r_hat      : (i + p) x (p + 1) coefficient block whose first column is
                  the unit vector for the seed and whose remaining columns
                  express the candidate block in the extended basis.
@@ -41,24 +44,25 @@ class BlockQrOutcome:
     cond_trace : first-pass per-column condition values (the adaptation
                  signal; includes the first rejected column when the stop
                  was the condition limit).
-    stopped_by : first-pass stop reason: 'none', 'condition', or 'pivot'
-                 (a pivot stop includes a candidate left at roundoff
-                 level by the projection).
+    stopped_by : first-pass stop reason: 'none', 'condition', 'pivot'
+                 (includes a candidate left at roundoff level by the
+                 projection) or 'overflow'.
     """
 
-    q_new: np.ndarray
     r_hat: np.ndarray
     p: int
     cond_trace: np.ndarray
     stopped_by: str
 
 
-def _right_solve(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows of X with X R = V, from the rows of V, for upper triangular R.
+def _right_solve(rows: np.ndarray, r: np.ndarray) -> None:
+    """Overwrite rows with the rows of X, X R = V, for upper triangular R.
 
-    Overwrites rows when they are C-contiguous.
+    C-contiguous rows are solved in place; any other layout is copied back.
     """
-    return dtrsm(1.0, r, rows.T, side=1, overwrite_b=True).T
+    x = dtrsm(1.0, r, rows.T, side=1, overwrite_b=True).T
+    if not np.may_share_memory(x, rows):
+        rows[...] = x
 
 
 def project(qt: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -76,15 +80,20 @@ def project(qt: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcome:
-    """Orthonormalize candidate columns v against basis q and each other.
+    """Orthonormalize candidate columns v against basis q and each other, in place.
 
-    q is n x i with orthonormal columns (i may be 0), v is n x s.  The
-    candidates are projected off q, factored by the condition-limited
-    Cholesky (keeping p columns), normalized, then the whole projection
-    and factorization runs a second time to restore orthogonality lost
-    to cancellation.  A candidate whose projected norm is at roundoff
-    level against its own norm ends the accepted prefix and is recorded
-    as a pivot stop.  Raises BreakdownError when no column survives.
+    q is n x i with orthonormal columns (i may be 0), v is an n x s float64
+    array.  The candidates are projected off q, factored by the
+    condition-limited Cholesky (keeping p columns), normalized, then the
+    whole projection and factorization runs a second time to restore
+    orthogonality lost to cancellation.  On return v[:, :p] holds the new
+    orthonormal columns and the rest of v scratch values.
+
+    This call alone decides p.  The kept prefix ends before the first
+    candidate whose norm is above OVERFLOW_LIMIT or not finite (an overflow
+    stop), before one whose projected norm is at roundoff level against its
+    own (a pivot stop), and where either factorization pass stops.  Raises
+    BreakdownError when no column survives.
 
     All work runs on the row-stacked transposes q.T and v.T, one vector
     per row; they are free views when q and v are transposes of C-order
@@ -94,7 +103,8 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
     phase 'ortho'.
     """
     q = np.asarray(q, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    if not (isinstance(v, np.ndarray) and v.dtype == np.float64):
+        raise ValueError("v must be a float64 array: the new columns overwrite it")
     if q.ndim != 2 or v.ndim != 2 or q.shape[0] != v.shape[0]:
         raise ValueError("q and v must share their row dimension")
     i = q.shape[1]
@@ -106,53 +116,51 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
         if counter is not None:
             counter.add(kind, "ortho")
 
-    # each temporary below is as large as the candidate block, so the
-    # projections subtract into the product and the solves overwrite
     count("projections")
-    w = project(qt, vt)
-    v1 = w.T @ qt
-    np.subtract(vt, v1, out=v1)
-    # the candidates' own norms ride on the same reduction
+    # the candidates' own norms ride on the same reduction; an overflowed one
+    # and those generated from it are dropped before any arithmetic
     before = np.sqrt(np.einsum("ij,ij->i", vt, vt))
+    over = ~(before <= OVERFLOW_LIMIT)
+    s = int(np.argmax(over)) if over.any() else len(over)
+    vt, before = vt[:s], before[:s]
+    # updated in place: each pass's update is the one block-sized temporary
+    w = project(qt, vt)
+    np.subtract(vt, w.T @ qt, out=vt)
 
     count("gram_products")
-    g = v1 @ v1.T
+    g = vt @ vt.T
     # a candidate that the projection leaves at roundoff level lies in
     # span(q): it and the candidates after it are dropped, as at a pivot stop
     noise = negligible(np.sqrt(np.diag(g)), i, before)
-    keep = int(np.argmax(noise)) if noise.any() else len(noise)
+    keep = int(np.argmax(noise)) if noise.any() else s
     if keep == 0:
-        raise BreakdownError("no columns accepted: the first candidate lies in span(q)")
+        raise BreakdownError("no columns accepted: first candidate overflows or lies in span(q)")
     g = g[:keep, :keep]
     pc1: PartialCholeskyResult = partial_cholesky(0.5 * (g + g.T), cond_limit)
     p = pc1.p
-    stopped_by = "pivot" if pc1.stopped_by == "none" and keep < len(noise) else pc1.stopped_by
+    stopped_by = pc1.stopped_by
+    if stopped_by == "none" and keep < len(over):
+        stopped_by = "pivot" if keep < s else "overflow"
     z = pc1.r
-    q1 = _right_solve(v1[:p], z)
+    q1 = vt[:p]
+    _right_solve(q1, z)
 
     count("projections")
     w2 = project(qt, q1)
-    q2 = w2.T @ qt
-    np.subtract(q1, q2, out=q2)
+    np.subtract(q1, w2.T @ qt, out=q1)
 
     count("gram_products")
-    g2 = q2 @ q2.T
+    g2 = q1 @ q1.T
     pc2: PartialCholeskyResult = partial_cholesky(0.5 * (g2 + g2.T), cond_limit)
     if pc2.p < p:
         p = pc2.p
         z = np.ascontiguousarray(z[:p, :p])
     z2 = pc2.r[:p, :p]
-    q_new = _right_solve(q2[:p], z2)
+    _right_solve(q1[:p], z2)
 
     r_hat = np.zeros((i + p, p + 1))
     if i:
         r_hat[i - 1, 0] = 1.0
         r_hat[:i, 1:] = w[:, :p] + w2[:, :p] @ z
     r_hat[i:, 1:] = z2 @ z
-    return BlockQrOutcome(
-        q_new=q_new.T,
-        r_hat=r_hat,
-        p=p,
-        cond_trace=pc1.cond_trace,
-        stopped_by=stopped_by,
-    )
+    return BlockQrOutcome(r_hat=r_hat, p=p, cond_trace=pc1.cond_trace, stopped_by=stopped_by)

@@ -313,8 +313,9 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
             "precond": manifest.precond,
             "equilibrate": manifest.equilibrate,
         },
-        "solver": {"kind": manifest.solver,
-                   **{f.name: getattr(manifest, f.name) for f in fields(SolverConfig)}},
+        "solver": {"kind": manifest.solver,  # numpy scalar settings as plain values
+                   **{f.name: np.asarray(getattr(manifest, f.name)).item()
+                      for f in fields(SolverConfig)}},
         "result": {
             "converged": bool(trace.converged),
             "breakdown": bool(trace.breakdown),
@@ -331,9 +332,9 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
         },
         "counters": counter.as_dict(),
     }
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"  # no partial file on failure
     with open(json_path, "w", encoding="ascii") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
     return RunResult(csv_path=csv_path, json_path=json_path, summary=summary, trace=trace)
 
 

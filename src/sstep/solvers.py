@@ -261,11 +261,10 @@ class _BlockStep:
     """One adaptive block: matrix powers, condition-limited block QR, Hessenberg assembly.
 
     width is the adapted block size; it shrinks to the accepted width
-    whenever a block keeps fewer columns than it asked for, whether the
-    overflow guard, the first or the second factorization pass cut it.
-    Every candidate column a block does not keep counts as wasted.  A
-    block that yields no usable column falls back to one modified
-    Gram-Schmidt column.
+    whenever the block QR keeps fewer columns than the block asked for,
+    whatever its stop reason.  Every candidate column a block does not
+    keep counts as wasted.  A block that yields no usable column falls
+    back to one modified Gram-Schmidt column.
     """
 
     def __init__(self, op, counter: ReductionCounter, cfg: SolverConfig,
@@ -286,23 +285,19 @@ class _BlockStep:
         s_eff = min(self.width, cfg.restart_len - i + 1)
         shifts = None if cfg.basis == "monomial" else self.ritz.cycled(s_eff)
         cob = build_change_of_basis(cfg.basis, s_eff, shifts)
-        blk = matrix_powers(self.op, q[i - 1], cob)
-        outcome = None
-        if blk.ncols > 0:
-            try:
-                outcome = bcgs2_partial_cholqr(q[:i].T, blk.v, cfg.cond_limit,
-                                               counter=self.counter)
-            except BreakdownError:
-                pass
-        p = 0 if outcome is None else outcome.p
-        self.wasted += s_eff - p
-        if outcome is None:
+        # built in the basis rows it will occupy, which fit: s_eff <= m - i + 1
+        blk = matrix_powers(self.op, q[i - 1 : i + s_eff], cob)
+        try:
+            outcome = bcgs2_partial_cholqr(q[:i].T, blk.v, cfg.cond_limit, counter=self.counter)
+        except BreakdownError:
+            self.wasted += s_eff
             return self.fallback(cyc)
+        p = outcome.p
+        self.wasted += s_eff - p
 
         h_blk = assemble_hessenberg(outcome.r_hat, cob.dense(), cyc.h[:i, : i - 1])
         cyc.h[: i + p, i - 1 : i - 1 + p] = h_blk
         ests = ls.append(h_blk)
-        q[i : i + p] = outcome.q_new.T
         self.block_sizes.append(p)
         self.cond_traces.append(outcome.cond_trace)
         if p < s_eff:

@@ -4,7 +4,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import sstep.basis
 from sstep import (
     RitzSet,
     build_change_of_basis,
@@ -197,6 +196,13 @@ class TestChangeOfBasis:
             build_change_of_basis("scaled-newton", 2, rs)
 
 
+def generate(op, seed, cob):
+    """The kernel's block from seed, generated into rows of its own."""
+    rows = np.empty((cob.s + 1, len(seed)))
+    rows[0] = seed
+    return matrix_powers(op, rows, cob)
+
+
 class TestMatrixPowers:
     def setup_method(self):
         rng = np.random.default_rng(33)
@@ -217,7 +223,7 @@ class TestMatrixPowers:
         # the defining relation: A V_{0:s-1} = V_{0:s} B for the dense B
         rs = RitzSet.from_values(shifts) if shifts else None
         cob = build_change_of_basis(kind, 4, rs)
-        blk = matrix_powers(self.op, self.seed, cob)
+        blk = generate(self.op, self.seed, cob)
         assert blk.ncols == 4
         vfull = np.column_stack([self.seed, blk.v])
         lhs = self.a @ vfull[:, :4]
@@ -229,7 +235,7 @@ class TestMatrixPowers:
         rs = RitzSet.from_values([1.8, 1.2 + 0.3j, 1.2 - 0.3j, 1.5])
         cob = build_change_of_basis("scaled-newton", 4, rs)
         assert np.count_nonzero(cob.coupling) == 1
-        blk = matrix_powers(self.op, self.seed, cob)
+        blk = generate(self.op, self.seed, cob)
         prev2, prev = np.zeros_like(self.seed), self.seed
         for k in range(4):
             w = (self.op(prev) - cob.shift[k] * prev + cob.coupling[k] * prev2) / cob.scale[k]
@@ -241,31 +247,28 @@ class TestMatrixPowers:
         newton = build_change_of_basis("newton", 3, rs)
         mono = build_change_of_basis("monomial", 3)
         npt.assert_array_equal(newton.shift, mono.shift[:3])
-        a = matrix_powers(self.op, self.seed, newton)
-        b = matrix_powers(self.op, self.seed, mono)
+        a = generate(self.op, self.seed, newton)
+        b = generate(self.op, self.seed, mono)
         npt.assert_array_equal(a.v, b.v)
 
     def test_power_of_two_scaling_is_exact(self):
         manual = build_change_of_basis("monomial", 3)
         manual.scale[:] = 2.0
-        blk = matrix_powers(self.op, self.seed, manual)
-        ref = matrix_powers(self.op, self.seed, build_change_of_basis("monomial", 3))
+        blk = generate(self.op, self.seed, manual)
+        ref = generate(self.op, self.seed, build_change_of_basis("monomial", 3))
         npt.assert_array_equal(blk.v * [2.0, 4.0, 8.0], ref.v)
 
-    def test_overflow_guard_returns_finite_prefix(self, monkeypatch):
-        assert sstep.basis.OVERFLOW_LIMIT == pytest.approx(1e10 / np.sqrt(np.finfo(float).eps))
-        cob = build_change_of_basis("monomial", 6)
-        grow = lambda v: 1e8 * v
-        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e20)
-        blk = matrix_powers(grow, self.seed, cob)
-        assert blk.ncols == 2
-        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e80)
-        full = matrix_powers(grow, self.seed, cob)
-        npt.assert_array_equal(blk.v, full.v[:, :2])
+    def test_fills_the_rows_after_the_seed_in_place(self):
+        cob = build_change_of_basis("monomial", 3)
+        rows = np.empty((4, 20))
+        rows[0] = self.seed
+        blk = matrix_powers(self.op, rows, cob)
+        assert blk.ncols == 3 and np.shares_memory(blk.v, rows)
+        npt.assert_array_equal(rows[0], self.seed)
+        npt.assert_array_equal(blk.v, rows[1:].T)
+        npt.assert_array_equal(rows[3], self.a @ (self.a @ (self.a @ self.seed)))
 
-    def test_nonfinite_truncates(self, monkeypatch):
-        cob = build_change_of_basis("monomial", 4)
-        bad = lambda v: v * np.inf
-        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", np.inf)
-        blk = matrix_powers(bad, self.seed, cob)
-        assert blk.ncols == 0
+    @pytest.mark.parametrize("nrows", [3, 5])
+    def test_rows_must_hold_seed_and_block(self, nrows):
+        with pytest.raises(ValueError, match="seed and 3 vectors"):
+            matrix_powers(self.op, np.zeros((nrows, 20)), build_change_of_basis("monomial", 3))

@@ -1,13 +1,21 @@
 """Reorthogonalized block QR with condition-limited column acceptance."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
 
 import sstep.blockqr
-from sstep import BreakdownError, ReductionCounter, bcgs2_partial_cholqr
-from sstep.blockqr import project
+from sstep import (
+    BreakdownError,
+    ReductionCounter,
+    bcgs2_partial_cholqr,
+    build_change_of_basis,
+    matrix_powers,
+)
+from sstep.blockqr import OVERFLOW_LIMIT, project
 
 
 def ortho_basis(rng, n, i):
@@ -20,29 +28,31 @@ class TestWellConditioned:
     def test_from_empty_basis_matches_householder(self):
         rng = np.random.default_rng(41)
         v = rng.standard_normal((30, 5))
-        out = bcgs2_partial_cholqr(np.zeros((30, 0)), v, 1e7)
+        q_new = v.copy()
+        out = bcgs2_partial_cholqr(np.zeros((30, 0)), q_new, 1e7)
         assert out.p == 5 and out.stopped_by == "none"
-        npt.assert_allclose(out.q_new.T @ out.q_new, np.eye(5), atol=1e-14)
+        npt.assert_allclose(q_new.T @ q_new, np.eye(5), atol=1e-14)
         # same span as a Householder factorization
         qh = np.linalg.qr(v)[0]
-        angles = sla.subspace_angles(out.q_new, qh)
+        angles = sla.subspace_angles(q_new, qh)
         assert np.max(angles) < 1e-12
         # first coefficient column is empty when there is no prior basis
         npt.assert_array_equal(out.r_hat[:, 0], np.zeros(5))
-        npt.assert_allclose(out.q_new @ out.r_hat[:, 1:], v, atol=1e-13)
+        npt.assert_allclose(q_new @ out.r_hat[:, 1:], v, atol=1e-13)
 
     def test_against_existing_basis(self):
         rng = np.random.default_rng(42)
         n, i, s = 40, 6, 4
         q = ortho_basis(rng, n, i)
         v = rng.standard_normal((n, s))
-        out = bcgs2_partial_cholqr(q, v, 1e7)
+        q_new = v.copy()
+        out = bcgs2_partial_cholqr(q, q_new, 1e7)
         assert out.p == s
-        npt.assert_allclose(q.T @ out.q_new, np.zeros((i, s)), atol=1e-14)
-        npt.assert_allclose(out.q_new.T @ out.q_new, np.eye(s), atol=1e-14)
+        npt.assert_allclose(q.T @ q_new, np.zeros((i, s)), atol=1e-14)
+        npt.assert_allclose(q_new.T @ q_new, np.eye(s), atol=1e-14)
         # r_hat reconstructs the candidates in the extended basis and
         # carries the seed unit vector in its first column
-        ext = np.column_stack([q, out.q_new])
+        ext = np.column_stack([q, q_new])
         npt.assert_allclose(ext @ out.r_hat[:, 1:], v, atol=1e-12)
         e_seed = np.zeros(i + s)
         e_seed[i - 1] = 1.0
@@ -87,7 +97,7 @@ class TestIllConditioned:
                              for k in range(5)])
         out = bcgs2_partial_cholqr(q, v, 1e7)
         assert 1 <= out.p <= 5
-        ext = np.column_stack([q, out.q_new])
+        ext = np.column_stack([q, v[:, : out.p]])
         npt.assert_allclose(ext.T @ ext, np.eye(i + out.p), atol=1e-13)
 
     def test_condition_stop_is_visible_in_trace(self):
@@ -122,12 +132,13 @@ class TestIllConditioned:
         v = rng.standard_normal((n, 4))
         v[:, 2] = q @ rng.standard_normal(3)
         counter = ReductionCounter()
+        head = v[:, :2].copy()
         out = bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
         assert out.p == 2 and out.stopped_by == "pivot"
         assert len(out.cond_trace) == 2
         assert counter.phase_reductions("ortho") == 4
-        full = bcgs2_partial_cholqr(q, v[:, :2], 1e7)
-        npt.assert_array_equal(out.q_new, full.q_new)
+        full = bcgs2_partial_cholqr(q, head, 1e7)
+        npt.assert_array_equal(v[:, :2], head)
         npt.assert_array_equal(out.r_hat, full.r_hat)
 
     def test_first_candidate_in_span_breaks_down_after_first_pass(self):
@@ -168,13 +179,14 @@ class TestTiledProjections:
         rng = np.random.default_rng(51)
         q = ortho_basis(rng, n, i)
         v = rng.standard_normal((n, s))
-        whole = bcgs2_partial_cholqr(q, v, 1e7)
+        w = v.copy()
+        whole = bcgs2_partial_cholqr(q, w, 1e7)
         tiles_of(monkeypatch, i, 6)
         counter = ReductionCounter()
         tiled = bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
         assert counter.phase_reductions("ortho") == 4
         assert (tiled.p, tiled.stopped_by) == (whole.p, whole.stopped_by)
-        npt.assert_allclose(tiled.q_new, whole.q_new, rtol=0, atol=1e-14)
+        npt.assert_allclose(v[:, : tiled.p], w[:, : whole.p], rtol=0, atol=1e-14)
         npt.assert_allclose(tiled.r_hat, whole.r_hat, rtol=0, atol=1e-14)
         npt.assert_allclose(tiled.cond_trace, whole.cond_trace, rtol=1e-14)
 
@@ -185,6 +197,92 @@ class TestTiledProjections:
         # 6 columns and a ragged one of 4
         tiles_of(monkeypatch, 3, 6)
         getattr(TestIllConditioned(), stop)()
+
+
+class TestOverflowStop:
+    def test_limit(self):
+        assert OVERFLOW_LIMIT == pytest.approx(1e10 / np.sqrt(np.finfo(float).eps))
+
+    @pytest.mark.parametrize("bad", ["above", "inf", "nan"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_candidate_ends_prefix(self, monkeypatch, bad, k):
+        # candidate k and every one after it are dropped before any
+        # arithmetic touches them: the kept columns are bitwise those of a
+        # call on the first k candidates, at no extra reduction; both calls
+        # take candidates stored as rows, as the solver does
+        monkeypatch.setattr(sstep.blockqr, "OVERFLOW_LIMIT", 1e3)
+        rng = np.random.default_rng(52)
+        n = 40
+        q = ortho_basis(rng, n, 3)
+        rows = rng.standard_normal((5, n))
+        rows[k] *= {"above": 1e3, "inf": np.inf, "nan": np.nan}[bad]
+        rows[k + 1 :] = np.inf
+        head = rows[:k].copy()
+        counter = ReductionCounter()
+        out = bcgs2_partial_cholqr(q, rows.T, 1e7, counter=counter)
+        assert out.p <= k and out.stopped_by == "overflow"
+        assert counter.phase_reductions("ortho") == 4
+        full = bcgs2_partial_cholqr(q, head.T, 1e7)
+        assert (full.p, full.stopped_by) == (out.p, "none")
+        npt.assert_array_equal(rows[: out.p], head[: out.p])
+        npt.assert_array_equal(out.r_hat, full.r_hat)
+        npt.assert_array_equal(out.cond_trace, full.cond_trace)
+
+    def test_first_candidate_overflowing_breaks_down_after_first_pass(self):
+        rng = np.random.default_rng(53)
+        v = rng.standard_normal((30, 3))
+        v[:, 0] *= 1e20
+        counter = ReductionCounter()
+        with pytest.raises(BreakdownError, match="first candidate overflows"):
+            bcgs2_partial_cholqr(ortho_basis(rng, 30, 2), v, 1e7, counter=counter)
+        assert counter.phase_reductions("ortho") == 2
+
+    def test_overflowing_monomial_block_warns_nowhere(self):
+        # norms 1e9, 1e18, ...: the second vector is past the limit and the
+        # recurrence runs on into inf and then nan, all without a warning
+        n, s = 20, 40
+        rows = np.empty((s + 1, n))
+        rows[0] = 1.0 / np.sqrt(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blk = matrix_powers(lambda v: 1e9 * v, rows, build_change_of_basis("monomial", s))
+            assert np.isinf(rows).any() and np.isnan(rows).any()
+            out = bcgs2_partial_cholqr(np.zeros((n, 0)), blk.v, 1e7)
+        assert (out.p, out.stopped_by) == (1, "overflow")
+        npt.assert_array_equal(rows[1], rows[0])
+
+    @pytest.mark.parametrize("layout", ["row-view", "plain"])
+    def test_results_land_in_v(self, monkeypatch, layout):
+        # the solver's C-order basis rows are solved in place; any other
+        # layout gets the solves' results copied back
+        rng = np.random.default_rng(54)
+        n, i, s = 50, 4, 5
+        q = ortho_basis(rng, n, i)
+        cand = rng.standard_normal((n, s))
+        if layout == "row-view":
+            rows = np.empty((i + s, n))
+            rows[:i], rows[i:] = q.T, cand.T
+            q, v = rows[:i].T, rows[i:].T
+        else:
+            v = cand.copy()
+        in_place, solve = [], sstep.blockqr.dtrsm
+
+        def spy(alpha, a, b, **kwargs):
+            x = solve(alpha, a, b, **kwargs)
+            in_place.append(np.shares_memory(x, b))
+            return x
+
+        monkeypatch.setattr(sstep.blockqr, "dtrsm", spy)
+        out = bcgs2_partial_cholqr(q, v, 1e7)
+        assert out.p == s
+        assert in_place == [layout == "row-view"] * 2
+        npt.assert_allclose(v.T @ v, np.eye(s), atol=1e-14)
+        npt.assert_allclose(q.T @ v, np.zeros((i, s)), atol=1e-14)
+        npt.assert_allclose(np.column_stack([q, v]) @ out.r_hat[:, 1:], cand, atol=1e-12)
+
+    def test_candidates_must_be_a_float64_array(self):
+        with pytest.raises(ValueError, match="float64"):
+            bcgs2_partial_cholqr(np.zeros((5, 0)), np.ones((5, 2), dtype=np.float32), 1e7)
 
 
 class TestGuards:

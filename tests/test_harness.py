@@ -253,6 +253,21 @@ class TestRunExperiment:
         res = run_experiment(small_manifest(), str(tmp_path))
         assert res.summary["result"]["setup_time_s"] >= 0.05
 
+    def test_numpy_scalar_settings_write_a_plain_sidecar(self, tmp_path):
+        man = RunManifest(matrix="diag:50:1:2", initial_step=np.int64(3), restart_len=20)
+        res = run_experiment(man, str(tmp_path))
+        with open(res.json_path, encoding="ascii") as f:
+            meta = json.load(f)
+        assert meta["solver"]["initial_step"] == 3
+        assert type(res.summary["solver"]["initial_step"]) is int
+
+    def test_serialization_error_leaves_no_sidecar(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sstep.harness.ReductionCounter, "as_dict",
+                            lambda self: {"unserializable": object()})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            run_experiment(small_manifest(), str(tmp_path))
+        assert list(tmp_path.glob("*.json")) == []
+
     def test_freed_setup_memory_released_before_the_solve(self, tmp_path, monkeypatch):
         import sstep.solvers
 

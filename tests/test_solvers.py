@@ -1,6 +1,7 @@
 """Both solver drivers: correctness, adaptation, accounting, edge behavior."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sstep.basis
 import sstep.blockqr
 import sstep.solvers
 from sstep import (
@@ -145,20 +145,20 @@ class TestAdaptive:
         assert first[-1] > cfg.cond_limit >= first[-2]
 
     def test_overflow_truncation_adapts_width(self, monkeypatch):
-        # the overflow guard, not the condition limit, cuts the first monomial
-        # block short; the width must adapt all the same, so that later
-        # blocks ask only for what the first one kept
+        # the block QR's overflow stop, not the condition limit, cuts the
+        # first monomial block short; the width must adapt all the same, so
+        # that later blocks ask only for what the first one kept
         requested, cut = [], []
-        mpk = sstep.solvers.matrix_powers
+        block_qr = sstep.solvers.bcgs2_partial_cholqr
 
-        def spy(op, seed, cob):
-            blk = mpk(op, seed, cob)
-            requested.append(cob.s)
-            cut.append(blk.ncols < cob.s)
-            return blk
+        def spy(q, v, *args, **kwargs):
+            outcome = block_qr(q, v, *args, **kwargs)
+            requested.append(v.shape[1])
+            cut.append(outcome.stopped_by == "overflow")
+            return outcome
 
-        monkeypatch.setattr(sstep.solvers, "matrix_powers", spy)
-        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e3)
+        monkeypatch.setattr(sstep.solvers, "bcgs2_partial_cholqr", spy)
+        monkeypatch.setattr(sstep.blockqr, "OVERFLOW_LIMIT", 1e3)
         a, b = diag_problem(200, 3)
         cfg = SolverConfig(basis="monomial", initial_step=10, restart_len=60)
         tr = adaptive_gmres(a.matvec, b, config=cfg)
@@ -201,21 +201,33 @@ class TestAdaptive:
         assert max(tr.block_sizes) == 1
 
     def test_forced_fallback_runs_as_plain_mgs(self, monkeypatch):
-        monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e-300)
+        # every block is generated in full, and its block QR stops after
+        # the two events of its first pass, before the column fallback
+        requested = []
+        mpk = sstep.solvers.matrix_powers
+
+        def spy(op, rows, cob):
+            requested.append(cob.s)
+            return mpk(op, rows, cob)
+
+        monkeypatch.setattr(sstep.solvers, "matrix_powers", spy)
+        monkeypatch.setattr(sstep.blockqr, "OVERFLOW_LIMIT", 1e-300)
         a, b, kw = PROBLEMS["forced-fallback"]
         cfg = SolverConfig(basis="monomial", **kw)
         tr = adaptive_gmres(a.matvec, b, config=cfg)
         assert tr.converged
         assert tr.block_sizes == []
-        assert tr.counter.phase_reductions("ortho") == 0
+        assert requested == [min(8, cfg.restart_len - i) for i in range(tr.iterations)]
+        assert tr.counter.phase_reductions("ortho") == 2 * tr.iterations
+        assert tr.counter.get("spmv", "mpk") == sum(requested)
         assert tr.counter.get("spmv", "fallback") == tr.iterations
 
 
 @pytest.mark.parametrize("a,b,kw", list(PROBLEMS.values()), ids=list(PROBLEMS))
 def test_forced_fallback_is_the_baseline(a, b, kw, monkeypatch):
-    # an overflow guard nothing passes sends every adaptive step down the
-    # column fallback, which must then be the baseline step for step
-    monkeypatch.setattr(sstep.basis, "OVERFLOW_LIMIT", 1e-300)
+    # an overflow limit no candidate passes sends every adaptive step down
+    # the column fallback, which must then be the baseline step for step
+    monkeypatch.setattr(sstep.blockqr, "OVERFLOW_LIMIT", 1e-300)
     cfg = SolverConfig(basis="monomial", **kw)
     ta = adaptive_gmres(a.matvec, b, config=cfg)
     tb = gmres_baseline(a.matvec, b, config=cfg)
@@ -242,12 +254,11 @@ def compose_blocks(ad, b, kind, s, nblocks, ritz=None, check=None):
     i = 1
     for _ in range(nblocks):
         cob = build_change_of_basis(kind, s, ritz.cycled(s) if ritz else None)
-        blk = matrix_powers(lambda v: ad @ v, q[i - 1], cob)
+        blk = matrix_powers(lambda v: ad @ v, q[i - 1 : i + s], cob)
         out = bcgs2_partial_cholqr(q[:i].T, blk.v, 1e7)
         p = out.p
         h[: i + p, i - 1 : i - 1 + p] = assemble_hessenberg(
             out.r_hat, cob.dense(), h[:i, : i - 1])
-        q[i : i + p] = out.q_new.T
         i += p
         if check is not None:
             check(q[:i], h[:i, : i - 1])
@@ -349,6 +360,29 @@ def test_arnoldi_relation_after_every_block_across_tiles():
 def test_ortho_reductions_are_four_per_block_across_tiles():
     with mock.patch.object(sstep.blockqr, "TILE_BYTES", FIVE_COLUMN_TILES):
         test_ortho_reductions_are_four_per_block_on_random_problems()
+
+
+def test_block_is_built_in_the_basis():
+    # a 100-wide block is generated into the basis rows it occupies and
+    # orthonormalized there, so besides the basis the solve holds at most one
+    # block-sized temporary at a time; a block with its own candidate array,
+    # a first-pass copy and a second-pass copy would peak at three
+    n, m = 10000, 100
+    d = np.linspace(1.0, 10.0, n)
+    # Chebyshev points of the spectrum: the whole scaled Newton block is kept
+    ritz = RitzSet.from_values(5.5 + 4.5 * np.cos(np.pi * (np.arange(m) + 0.5) / m))
+    cfg = SolverConfig(basis="scaled-newton", initial_step=m, restart_len=m, rel_tol=1e-14)
+    b = unit_rhs(np.random.default_rng(0), n)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr = adaptive_gmres(lambda v: d * v, b, config=cfg, ritz=ritz)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert tr.converged and tr.block_sizes == [m]
+    basis, block = (m + 1) * n * 8, m * n * 8
+    assert peak < basis + 2 * block
 
 
 class TestEdgeBehavior:
