@@ -23,7 +23,7 @@ tr = adaptive_gmres(a.matvec, b, config=cfg)
 print("adaptive block solver")
 print("  converged:", tr.converged, " iterations:", tr.iterations)
 print("  block sizes:", tr.block_sizes[:6], "... (adapted from 10)")
-print("  first-block condition trace:", [f"{v:.1e}" for v in tr.cond_traces[0]])
+print("  first-block condition trace:", [f"{v:.1e}" for v in tr.blocks[0].cond_trace])
 print("  wasted candidate columns:", tr.wasted_columns)
 print("  orthogonality loss:", f"{np.nanmax(tr.loo):.2e}")
 print("  synchronizations in orthogonalization:",

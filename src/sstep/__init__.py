@@ -39,6 +39,7 @@ from .harness import (
 )
 from .ilu import ILU0, ZeroPivotError, ilu0
 from .solvers import (
+    BlockRecord,
     SolveTrace,
     adaptive_gmres,
     assemble_hessenberg,
@@ -59,6 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockQrOutcome",
+    "BlockRecord",
     "BreakdownError",
     "ChangeOfBasis",
     "ConditionEstimator",

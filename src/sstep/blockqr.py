@@ -44,9 +44,9 @@ class BlockQrOutcome:
     cond_trace : first-pass per-column condition values (the adaptation
                  signal; includes the first rejected column when the stop
                  was the condition limit).
-    stopped_by : first-pass stop reason: 'none', 'condition', 'pivot'
-                 (includes a candidate left at roundoff level by the
-                 projection) or 'overflow'.
+    stopped_by : 'none', 'condition', 'pivot' (includes a candidate left at
+                 roundoff level by the projection), 'overflow', or 'second
+                 pass' when the second factorization kept fewer columns.
     """
 
     r_hat: np.ndarray
@@ -153,7 +153,7 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
     g2 = q1 @ q1.T
     pc2: PartialCholeskyResult = partial_cholesky(0.5 * (g2 + g2.T), cond_limit)
     if pc2.p < p:
-        p = pc2.p
+        p, stopped_by = pc2.p, "second pass"
         z = np.ascontiguousarray(z[:p, :p])
     z2 = pc2.r[:p, :p]
     _right_solve(q1[:p], z2)

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -108,6 +108,7 @@ _FIELD_KINDS = {
     "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     "float": ("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
     "bool": ("a bool", lambda v: isinstance(v, (bool, np.bool_))),
+    "str": ("a str", lambda v: isinstance(v, str)),
     "str | None": ("a str or None", lambda v: v is None or isinstance(v, str)),
 }
 
@@ -287,7 +288,7 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
     else:
         trace = gmres_baseline(op, rhs_sys, config=manifest, counter=counter)
     solve_time = time.perf_counter() - t_solve
-    trace.x = eq.recover_solution(trace.x)
+    trace = replace(trace, x=eq.recover_solution(trace.x))
 
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, manifest.stem)

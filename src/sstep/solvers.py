@@ -28,12 +28,33 @@ from .harness import COUNTER_KINDS, ReductionCounter, SolverConfig
 
 
 @dataclass
+class BlockRecord:
+    """One block of the adaptive step.
+
+    asked      : candidate columns the block generated.
+    kept       : columns the block QR kept; 0 when the block fell back to
+                 one modified Gram-Schmidt column.
+    stopped_by : the block QR's stop reason (BlockQrOutcome.stopped_by),
+                 or 'breakdown' for a block that fell back.
+    cond_trace : the block QR's first-pass condition values (empty after
+                 a fallback).
+    """
+
+    asked: int
+    kept: int
+    stopped_by: str
+    cond_trace: np.ndarray
+
+
+@dataclass
 class SolveTrace:
     """Everything observable about one solve.
 
     Per-iteration arrays share one index: entry t describes the t-th
     least-squares column.  block_size holds the width of the block that
-    produced each column (1 for the baseline and fallback steps).
+    produced each column (1 for the baseline and fallback steps).  blocks
+    has one BlockRecord per adaptive block; block_sizes and wasted_columns
+    are read from it.  s0_star is the step estimate, when one ran.
     """
 
     converged: bool
@@ -44,15 +65,21 @@ class SolveTrace:
     block_size: np.ndarray
     reductions_cum: np.ndarray
     spmv_cum: np.ndarray
-    block_sizes: list
-    cond_traces: list
     counter: ReductionCounter
     beta0: float
     final_relative_residual: float
     restarts: int
-    s0_star: int | None = None
-    wasted_columns: int = 0
-    breakdown: bool = False
+    breakdown: bool
+    blocks: list
+    s0_star: int | None
+
+    @property
+    def block_sizes(self) -> list:
+        return [blk.kept for blk in self.blocks if blk.kept > 0]
+
+    @property
+    def wasted_columns(self) -> int:
+        return sum(blk.asked - blk.kept for blk in self.blocks)
 
 
 def _counted(op, counter: ReductionCounter, phase: str):
@@ -124,6 +151,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     signal (k, est, exhausted): solve on the first k columns, whose
     residual estimate is est, and confirm.  exhausted marks a Krylov
     space that cannot grow.  step.width is the step's current block width.
+    step.start(r) sees the first residual; the trace takes step.blocks and step.s0_star.
     A confirmation that neither converges nor improves on the cycle start
     ends the solve as a breakdown when the width did not change during the
     cycle, since the restarted cycle would repeat this one exactly.
@@ -140,9 +168,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     converged = False
     breakdown = False
     final_rel = math.inf
-    restarts_used = 0
-    for cycle in range(cfg.max_restarts + 1):
-        restarts_used = cycle
+    for cycle in range(cfg.max_restarts + 1):  # cycle is the restart count after the loop
         if cycle == 0 and x0 is None:
             r = b.copy()
         else:
@@ -158,6 +184,8 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
             converged, final_rel = True, beta / beta0
             break
 
+        if cycle == 0:
+            step.start(r)
         cyc = _Cycle(q, r, beta, beta0, cfg, counter, rows)
         width = step.width
         signal = None
@@ -205,13 +233,13 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         block_size=block_size.astype(np.int64),
         reductions_cum=reductions_cum.astype(np.int64),
         spmv_cum=spmv_cum.astype(np.int64),
-        block_sizes=[],
-        cond_traces=[],
         counter=counter,
         beta0=beta0,
         final_relative_residual=final_rel,
-        restarts=restarts_used,
+        restarts=cycle,
         breakdown=breakdown,
+        blocks=list(step.blocks),
+        s0_star=step.s0_star,
     )
 
 
@@ -224,11 +252,16 @@ class _ColumnStep:
     """
 
     width = 1
+    blocks = ()
+    s0_star = None
 
     def __init__(self, op, counter: ReductionCounter, phase: str):
         self.op = op
         self.counter = counter
         self.phase = phase
+
+    def start(self, r: np.ndarray) -> None:
+        """A column step needs no shifts."""
 
     def __call__(self, cyc: _Cycle):
         q, ls = cyc.q, cyc.ls
@@ -260,24 +293,32 @@ class _ColumnStep:
 class _BlockStep:
     """One adaptive block: matrix powers, condition-limited block QR, Hessenberg assembly.
 
-    width is the adapted block size; it shrinks to the accepted width
-    whenever the block QR keeps fewer columns than the block asked for,
-    whatever its stop reason.  Every candidate column a block does not
-    keep counts as wasted.  A block that yields no usable column falls
-    back to one modified Gram-Schmidt column.
+    width is the adapted block size, capped by start at the step estimate;
+    it shrinks to the accepted width whenever the block QR keeps fewer
+    columns than the block asked for, whatever its stop reason.  Each
+    block appends its BlockRecord to blocks.  A block that yields no
+    usable column falls back to one modified Gram-Schmidt column.
     """
 
-    def __init__(self, op, counter: ReductionCounter, cfg: SolverConfig,
-                 ritz: RitzSet | None, width: int):
+    def __init__(self, op, counter: ReductionCounter, cfg: SolverConfig, ritz: RitzSet | None):
+        self.raw_op = op
         self.op = _counted(op, counter, "mpk")
         self.fallback = _ColumnStep(_counted(op, counter, "fallback"), counter, "fallback")
         self.counter = counter
         self.cfg = cfg
         self.ritz = ritz
-        self.width = width
-        self.block_sizes = []
-        self.cond_traces = []
-        self.wasted = 0
+        self.width = cfg.initial_step
+        self.blocks = []
+        self.s0_star = None
+
+    def start(self, r: np.ndarray) -> None:
+        """Harvest from the first residual r when needed, then cap width at the step estimate."""
+        cfg = self.cfg
+        if self.ritz is None and (cfg.basis != "monomial" or cfg.use_step_estimator):
+            self.ritz = ritz_harvest(self.raw_op, r, cfg.initial_step, self.counter)
+        if cfg.use_step_estimator:
+            self.s0_star = estimate_initial_step(self.ritz, cfg.growth_limit).s0_star
+            self.width = min(self.width, self.s0_star)
 
     def __call__(self, cyc: _Cycle):
         cfg, q, ls = self.cfg, cyc.q, cyc.ls
@@ -290,16 +331,14 @@ class _BlockStep:
         try:
             outcome = bcgs2_partial_cholqr(q[:i].T, blk.v, cfg.cond_limit, counter=self.counter)
         except BreakdownError:
-            self.wasted += s_eff
+            self.blocks.append(BlockRecord(s_eff, 0, "breakdown", np.empty(0)))
             return self.fallback(cyc)
         p = outcome.p
-        self.wasted += s_eff - p
+        self.blocks.append(BlockRecord(s_eff, p, outcome.stopped_by, outcome.cond_trace))
 
         h_blk = assemble_hessenberg(outcome.r_hat, cob.dense(), cyc.h[:i, : i - 1])
         cyc.h[: i + p, i - 1 : i - 1 + p] = h_blk
         ests = ls.append(h_blk)
-        self.block_sizes.append(p)
-        self.cond_traces.append(outcome.cond_trace)
         if p < s_eff:
             self.width = p
         return cyc.record(i, ests, p)
@@ -325,7 +364,7 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
     # the step books mpk, ortho and fallback events; a counter of its own
     # keeps them out of the caller's solve phases
     own = ReductionCounter()
-    step = _BlockStep(op, own, cfg, None, cfg.initial_step)
+    step = _BlockStep(op, own, cfg, None)
     cyc = _Cycle(np.empty((k + 1, len(rhs))), rhs, beta, beta, cfg, own, [])
     cyc.tol = -math.inf  # never stop on the least-squares estimate
     while cyc.ls.ncols < k:
@@ -387,31 +426,9 @@ def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
     confirmation restarts from the current iterate.
 
     ritz supplies the shifts for the newton bases and the step estimate;
-    when needed and not given it is harvested here with initial_step
-    Arnoldi iterations on op from the first residual, unless that is zero.
+    when needed and not given it is harvested with initial_step Arnoldi
+    iterations on op from the driver's first residual.
     """
     cfg = config if config is not None else SolverConfig()
     counter = counter if counter is not None else ReductionCounter()
-    needs_ritz = cfg.basis != "monomial" or cfg.use_step_estimator
-    if needs_ritz and ritz is None:
-        r0 = b
-        if x0 is not None:
-            r0 = b - _counted(op, counter, "harvest")(np.asarray(x0, dtype=np.float64))
-        if not np.any(r0):
-            # nothing to solve: the driver returns before its first step
-            return _restarted_gmres(op, b, x0, cfg, counter, None)
-        ritz = ritz_harvest(op, r0, cfg.initial_step, counter)
-
-    s0_star = None
-    width = cfg.initial_step
-    if cfg.use_step_estimator:
-        s0_star = estimate_initial_step(ritz, cfg.growth_limit).s0_star
-        width = min(width, s0_star)
-
-    step = _BlockStep(op, counter, cfg, ritz, width)
-    trace = _restarted_gmres(op, b, x0, cfg, counter, step)
-    trace.block_sizes = step.block_sizes
-    trace.cond_traces = step.cond_traces
-    trace.wasted_columns = step.wasted
-    trace.s0_star = s0_star
-    return trace
+    return _restarted_gmres(op, b, x0, cfg, counter, _BlockStep(op, counter, cfg, ritz))

@@ -173,9 +173,10 @@ def parse_matrix_market(path) -> SparseMatrix:
     if nrows <= 0 or nnz < 0:
         _fail(k + 1, "dimensions must be positive")
 
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
+    cap = min(nnz, len(lines) - k - 1)  # an oversized count fails as a short file
+    rows = np.empty(cap, dtype=np.int64)
+    cols = np.empty(cap, dtype=np.int64)
+    vals = np.empty(cap, dtype=np.float64)
     got = 0
     for lineno in range(k + 1, len(lines)):
         text = lines[lineno].strip()

@@ -74,7 +74,7 @@ def test_criterion_1_diagonal_adapts_to_six():
     tr = adaptive_gmres(a.matvec, b, config=cfg)
     trb = gmres_baseline(a.matvec, b, config=cfg)
     elapsed = time.perf_counter() - t0
-    trace0 = tr.cond_traces[0]
+    trace0 = tr.blocks[0].cond_trace
     crossing = len(trace0) == 7 and trace0[5] <= cfg.cond_limit < trace0[6]
     gap = max_log10_gap(tr.residuals, trb.residuals)
     ok = (tr.converged and trb.converged

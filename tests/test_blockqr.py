@@ -16,6 +16,7 @@ from sstep import (
     matrix_powers,
 )
 from sstep.blockqr import OVERFLOW_LIMIT, project
+from sstep.dense import PartialCholeskyResult
 
 
 def ortho_basis(rng, n, i):
@@ -149,6 +150,29 @@ class TestIllConditioned:
         with pytest.raises(BreakdownError, match="span"):
             bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
         assert counter.phase_reductions("ortho") == 2
+
+    def test_second_pass_cut_is_reported(self, monkeypatch):
+        # the first pass keeps all four candidates, the second only two: the
+        # stop is the second pass's, not the first pass's 'none'
+        factor, kept = sstep.blockqr.partial_cholesky, []
+
+        def second_keeps_two(g, cond_limit):
+            out = factor(g, cond_limit)
+            kept.append(out.p)
+            if len(kept) == 2:
+                return PartialCholeskyResult(2, out.r[:2, :2], out.cond_trace[:2], "condition")
+            return out
+
+        monkeypatch.setattr(sstep.blockqr, "partial_cholesky", second_keeps_two)
+        rng = np.random.default_rng(50)
+        q = ortho_basis(rng, 40, 3)
+        v = rng.standard_normal((40, 4))
+        out = bcgs2_partial_cholqr(q, v, 1e7)
+        assert kept == [4, 4]
+        assert (out.p, out.stopped_by) == (2, "second pass")
+        assert out.r_hat.shape == (5, 3)
+        ext = np.column_stack([q, v[:, :2]])
+        npt.assert_allclose(ext.T @ ext, np.eye(5), atol=1e-13)
 
 
 def tiles_of(monkeypatch, i, width):

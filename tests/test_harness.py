@@ -138,10 +138,11 @@ class TestProblemBuilding:
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
         (dict(seed=np.float64(2.0)), "seed must be an integer"),
         (dict(label=7), "label must be a str or None, got 7"),
+        (dict(matrix=5), "matrix must be a str, got 5"),
     ])
     def test_manifest_fields_are_type_checked(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
-            RunManifest(matrix="lap2d:5", rhs="random", **kwargs)
+            RunManifest(**{"matrix": "lap2d:5", "rhs": "random", **kwargs})
 
     def test_numpy_scalars_and_ints_for_floats_pass(self):
         cfg = SolverConfig(initial_step=np.int64(3), max_restarts=np.int32(0), rel_tol=1,

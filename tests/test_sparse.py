@@ -198,6 +198,8 @@ class TestMatrixMarket:
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n", 3, "non-finite"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 -inf\n", 4, "non-finite"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", 3, "expected 2 entries"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 100000000000000\n1 1 1.0\n", 3,
+         "expected 100000000000000 entries, found 1"),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 3.0\n", 3, "lower triangle"),
     ])
     def test_errors_name_line(self, tmp_path, text, lineno, msg):
