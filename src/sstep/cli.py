@@ -90,9 +90,10 @@ def main(argv=None) -> int:
     prob = result.summary["problem"]
     print(f"matrix {prob['matrix']}  n={prob['n']}  solver={args.solver} basis={args.basis}")
     state = "converged" if res["converged"] else ("broke down" if res["breakdown"] else "stopped")
-    ncyc = res["restarts"] + 1
+    # a harvest cycle is not a restart, so restarts + 1 need not count the cycles
+    nres = res["restarts"]
     print(
-        f"{state} after {res['iterations']} iterations ({ncyc} cycle{'s' if ncyc != 1 else ''}), "
+        f"{state} after {res['iterations']} iterations ({nres} restart{'s' if nres != 1 else ''}), "
         f"final relative residual {res['final_relative_residual']:.3e}"
     )
     print(f"wrote {result.csv_path} and {result.json_path}")

@@ -258,6 +258,8 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
     counter = ReductionCounter()
     ritz = None
     if manifest.equilibrate == "scalar":
+        # the one harvest whose basis and iterate are thrown away: it probes
+        # the raw A before the system the solve iterates on exists
         raw_ritz = ritz_harvest(a.matvec, b, manifest.initial_step, counter)
         alpha = float(np.max(np.abs(raw_ritz.values)))
         a_eq, eq = equilibrate(a, "scalar", alpha)
@@ -327,6 +329,11 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
             "s0_star": None if trace.s0_star is None else int(trace.s0_star),
             "block_sizes": [int(p) for p in trace.block_sizes],
             "wasted_columns": int(trace.wasted_columns),
+            # harvest blocks included; last_cond is None after a fallback
+            "blocks": [{"phase": blk.phase, "asked": int(blk.asked), "kept": int(blk.kept),
+                        "stopped_by": blk.stopped_by,
+                        "last_cond": float(blk.cond_trace[-1]) if len(blk.cond_trace) else None}
+                       for blk in trace.blocks],
             "loo_final": float(trace.loo[-1]) if trace.iterations and manifest.track_loo else None,
             "setup_time_s": setup_time,
             "wall_time_s": solve_time,

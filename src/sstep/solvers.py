@@ -4,7 +4,8 @@ Both run through one restart-cycle driver and differ only in the step
 that extends a cycle's basis: one modified Gram-Schmidt column for the
 baseline; for the adaptive solver a block (matrix powers, condition-limited
 block QR, Hessenberg assembly) that falls back to the same column step.  The
-Ritz harvest runs that block step on one cycle of monomial blocks.
+Ritz harvest runs that block step on one cycle of monomial blocks; inside an
+adaptive solve that cycle is the solve's first, and its iterate is kept.
 
 Both take the operator as a callable and the right-hand side of the system
 actually iterated on, i.e. preconditioning and scaling are folded in by the
@@ -31,6 +32,7 @@ from .harness import COUNTER_KINDS, ReductionCounter, SolverConfig
 class BlockRecord:
     """One block of the adaptive step.
 
+    phase      : 'harvest' for a block of the Ritz harvest, else 'solve'.
     asked      : candidate columns the block generated.
     kept       : columns the block QR kept; 0 when the block fell back to
                  one modified Gram-Schmidt column.
@@ -40,6 +42,7 @@ class BlockRecord:
                  a fallback).
     """
 
+    phase: str
     asked: int
     kept: int
     stopped_by: str
@@ -53,8 +56,10 @@ class SolveTrace:
     Per-iteration arrays share one index: entry t describes the t-th
     least-squares column.  block_size holds the width of the block that
     produced each column (1 for the baseline and fallback steps).  blocks
-    has one BlockRecord per adaptive block; block_sizes and wasted_columns
-    are read from it.  s0_star is the step estimate, when one ran.
+    has one BlockRecord per adaptive block, the harvest's included;
+    block_sizes and wasted_columns are read from the solve blocks alone.
+    restarts counts solve cycles: a harvest cycle is not a restart.  s0_star
+    is the step estimate, when one ran.
     """
 
     converged: bool
@@ -75,11 +80,11 @@ class SolveTrace:
 
     @property
     def block_sizes(self) -> list:
-        return [blk.kept for blk in self.blocks if blk.kept > 0]
+        return [blk.kept for blk in self.blocks if blk.phase == "solve" and blk.kept > 0]
 
     @property
     def wasted_columns(self) -> int:
-        return sum(blk.asked - blk.kept for blk in self.blocks)
+        return sum(blk.asked - blk.kept for blk in self.blocks if blk.phase == "solve")
 
 
 def _counted(op, counter: ReductionCounter, phase: str):
@@ -98,11 +103,13 @@ class _Cycle:
     estimates to record.  q is the solve's basis storage, a C-order
     (m + 1) x n array with one Krylov vector per contiguous row,
     overwritten row by row.  rows collects one trace tuple (rel_res, loo,
-    width, reductions_cum, spmv_cum) per least-squares column.
+    width, reductions_cum, spmv_cum) per least-squares column and blocks
+    one BlockRecord per block; both belong to the solve, across cycles.
+    signal is the step's last answer: None, or (k, est, exhausted).
     """
 
     def __init__(self, q: np.ndarray, r: np.ndarray, beta: float, beta0: float,
-                 cfg: SolverConfig, counter: ReductionCounter, rows: list):
+                 cfg: SolverConfig, counter: ReductionCounter, rows: list, blocks: list):
         m = cfg.restart_len
         self.q = q
         self.q[0] = r / beta
@@ -114,6 +121,8 @@ class _Cycle:
         self.cfg = cfg
         self.counter = counter
         self.rows = rows
+        self.blocks = blocks
+        self.signal = None
 
     def record(self, i: int, ests, width: int, exhausted: bool = False):
         """Trace least-squares columns i, i + 1, ... whose residual estimates are ests.
@@ -151,7 +160,12 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     signal (k, est, exhausted): solve on the first k columns, whose
     residual estimate is est, and confirm.  exhausted marks a Krylov
     space that cannot grow.  step.width is the step's current block width.
-    step.start(r) sees the first residual; the trace takes step.blocks and step.s0_star.
+    step.start(r, cycle) sees the first residual and its cycle.  When
+    step.harvests, that first cycle is the Ritz harvest's: start fills it
+    and leaves its signal in cycle.signal, and the driver ends it like any
+    other cycle, keeping its iterate.  The harvest cycle is not a restart,
+    and it never ends the solve as a breakdown: the solve cycles follow it.
+    The trace takes step.s0_star.
     A confirmation that neither converges nor improves on the cycle start
     ends the solve as a breakdown when the width did not change during the
     cycle, since the restarted cycle would repeat this one exactly.
@@ -163,13 +177,14 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     # one basis for all cycles, one vector per row: a cycle reads only the
     # rows it wrote
     q = np.empty((cfg.restart_len + 1, len(b)))
-    rows = []
+    rows, blocks = [], []
     beta0 = None
     converged = False
     breakdown = False
     final_rel = math.inf
-    for cycle in range(cfg.max_restarts + 1):  # cycle is the restart count after the loop
-        if cycle == 0 and x0 is None:
+    first = -1 if step.harvests else 0  # cycle -1 is the harvest's
+    for cycle in range(first, cfg.max_restarts + 1):  # restarts = max(cycle, 0) after the loop
+        if cycle == first and x0 is None:
             r = b.copy()
         else:
             r = b - op_res(x)
@@ -184,19 +199,20 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
             converged, final_rel = True, beta / beta0
             break
 
-        if cycle == 0:
-            step.start(r)
-        cyc = _Cycle(q, r, beta, beta0, cfg, counter, rows)
+        cyc = _Cycle(q, r, beta, beta0, cfg, counter, rows, blocks)
+        if cycle == first:
+            step.start(r, cyc)
         width = step.width
-        signal = None
-        while cyc.ls.ncols < cfg.restart_len and signal is None:
-            signal = step(cyc)
-        if signal is None:
+        while cycle >= 0 and cyc.ls.ncols < cfg.restart_len and cyc.signal is None:
+            cyc.signal = step(cyc)
+        if cyc.signal is None:
             # full cycle without a convergence signal: advance the iterate
             x = x + cyc.ls.solve() @ cyc.q[: cyc.ls.ncols]
             continue
-        k, est, exhausted = signal
+        k, est, exhausted = cyc.signal
         if k == 0:
+            if cycle < 0:
+                continue
             breakdown, final_rel = True, beta / beta0
             break
         # confirm against the true residual; the update is kept only when it
@@ -216,7 +232,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
             final_rel = beta / beta0
         if converged:
             break
-        if exhausted or (not kept and step.width == width):
+        if cycle >= 0 and (exhausted or (not kept and step.width == width)):
             breakdown = True
             break
     if not converged and not breakdown:
@@ -236,9 +252,9 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         counter=counter,
         beta0=beta0,
         final_relative_residual=final_rel,
-        restarts=cycle,
+        restarts=max(cycle, 0),
         breakdown=breakdown,
-        blocks=list(step.blocks),
+        blocks=blocks,
         s0_star=step.s0_star,
     )
 
@@ -252,7 +268,7 @@ class _ColumnStep:
     """
 
     width = 1
-    blocks = ()
+    harvests = False
     s0_star = None
 
     def __init__(self, op, counter: ReductionCounter, phase: str):
@@ -260,7 +276,7 @@ class _ColumnStep:
         self.counter = counter
         self.phase = phase
 
-    def start(self, r: np.ndarray) -> None:
+    def start(self, r: np.ndarray, cyc: _Cycle) -> None:
         """A column step needs no shifts."""
 
     def __call__(self, cyc: _Cycle):
@@ -296,26 +312,30 @@ class _BlockStep:
     width is the adapted block size, capped by start at the step estimate;
     it shrinks to the accepted width whenever the block QR keeps fewer
     columns than the block asked for, whatever its stop reason.  Each
-    block appends its BlockRecord to blocks.  A block that yields no
-    usable column falls back to one modified Gram-Schmidt column.
+    block appends its BlockRecord, tagged with phase, to the cycle's
+    blocks.  A block that yields no usable column falls back to one
+    modified Gram-Schmidt column.  harvests is True when the shifts or
+    the step estimate need a Ritz harvest that was not given.
     """
 
-    def __init__(self, op, counter: ReductionCounter, cfg: SolverConfig, ritz: RitzSet | None):
+    def __init__(self, op, counter: ReductionCounter, cfg: SolverConfig, ritz: RitzSet | None,
+                 phase: str = "solve"):
         self.raw_op = op
         self.op = _counted(op, counter, "mpk")
         self.fallback = _ColumnStep(_counted(op, counter, "fallback"), counter, "fallback")
         self.counter = counter
         self.cfg = cfg
         self.ritz = ritz
+        self.phase = phase
+        self.harvests = ritz is None and (cfg.basis != "monomial" or cfg.use_step_estimator)
         self.width = cfg.initial_step
-        self.blocks = []
         self.s0_star = None
 
-    def start(self, r: np.ndarray) -> None:
-        """Harvest from the first residual r when needed, then cap width at the step estimate."""
+    def start(self, r: np.ndarray, cyc: _Cycle) -> None:
+        """Harvest in the first cycle cyc, from its residual r, when needed; cap width at the step estimate."""
         cfg = self.cfg
-        if self.ritz is None and (cfg.basis != "monomial" or cfg.use_step_estimator):
-            self.ritz = ritz_harvest(self.raw_op, r, cfg.initial_step, self.counter)
+        if self.harvests:
+            self.ritz = ritz_harvest(self.raw_op, r, cfg.initial_step, self.counter, cycle=cyc)
         if cfg.use_step_estimator:
             self.s0_star = estimate_initial_step(self.ritz, cfg.growth_limit).s0_star
             self.width = min(self.width, self.s0_star)
@@ -331,10 +351,10 @@ class _BlockStep:
         try:
             outcome = bcgs2_partial_cholqr(q[:i].T, blk.v, cfg.cond_limit, counter=self.counter)
         except BreakdownError:
-            self.blocks.append(BlockRecord(s_eff, 0, "breakdown", np.empty(0)))
+            cyc.blocks.append(BlockRecord(self.phase, s_eff, 0, "breakdown", np.empty(0)))
             return self.fallback(cyc)
         p = outcome.p
-        self.blocks.append(BlockRecord(s_eff, p, outcome.stopped_by, outcome.cond_trace))
+        cyc.blocks.append(BlockRecord(self.phase, s_eff, p, outcome.stopped_by, outcome.cond_trace))
 
         h_blk = assemble_hessenberg(outcome.r_hat, cob.dense(), cyc.h[:i, : i - 1])
         cyc.h[: i + p, i - 1 : i - 1 + p] = h_blk
@@ -344,38 +364,47 @@ class _BlockStep:
         return cyc.record(i, ests, p)
 
 
-def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None = None) -> RitzSet:
+def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None = None,
+                 cycle: _Cycle | None = None) -> RitzSet:
     """Run k Arnoldi steps from rhs/||rhs|| and return the ordered Ritz values.
 
     The Arnoldi process is the block solver's own step on one cycle of
-    monomial blocks.  It stops only at k columns or at a Krylov space
+    monomial blocks, which it stops at k columns or at a Krylov space
     exhausted at column j < k, and then returns the j values available.
     All costs are attributed to the 'harvest' phase.
+
+    cycle, given only by an adaptive solve, is the solve's first cycle,
+    started from rhs, its first residual, by the driver, which also normed
+    it.  The harvest then fills that cycle's basis, Hessenberg matrix,
+    least-squares state, trace rows and block records, stops early also on
+    the cycle's tolerance, and leaves its signal in cycle.signal, so that
+    the driver keeps its iterate.  Standalone, the harvest builds a cycle
+    of its own and keeps none of it but the Ritz values.
     """
     if k < 1:
         raise ValueError("k must be positive")
     counter = counter if counter is not None else ReductionCounter()
-    rhs = np.asarray(rhs, dtype=np.float64)
-    counter.add("norms", "harvest")
-    beta = float(np.linalg.norm(rhs))
-    if beta == 0.0:
-        raise ValueError("cannot harvest from a zero vector")
     cfg = SolverConfig(restart_len=k, initial_step=min(k, SolverConfig.initial_step))
     # the step books mpk, ortho and fallback events; a counter of its own
     # keeps them out of the caller's solve phases
     own = ReductionCounter()
-    step = _BlockStep(op, own, cfg, None)
-    cyc = _Cycle(np.empty((k + 1, len(rhs))), rhs, beta, beta, cfg, own, [])
-    cyc.tol = -math.inf  # never stop on the least-squares estimate
-    while cyc.ls.ncols < k:
-        i = cyc.ls.ncols + 1
-        if step(cyc) is not None:
-            # only an exhausted space signals; Hessenberg column i closes it
-            k = i
-            break
+    if cycle is None:
+        rhs = np.asarray(rhs, dtype=np.float64)
+        counter.add("norms", "harvest")
+        beta = float(np.linalg.norm(rhs))
+        if beta == 0.0:
+            raise ValueError("cannot harvest from a zero vector")
+        cycle = _Cycle(np.empty((k + 1, len(rhs))), rhs, beta, beta, cfg, own, [], [])
+        cycle.tol = -math.inf  # never stop on the least-squares estimate
+    step = _BlockStep(op, own, cfg, None, "harvest")
+    while cycle.ls.ncols < k and cycle.signal is None:
+        i = cycle.ls.ncols + 1
+        cycle.signal = step(cycle)
     for kind in COUNTER_KINDS:
         counter.add(kind, "harvest", own.kind_total(kind))
-    return RitzSet.from_values(hessenberg_eigenvalues(cyc.h, k))
+    # Hessenberg column i closes an exhausted space, also when the
+    # least-squares state could not take it
+    return RitzSet.from_values(hessenberg_eigenvalues(cycle.h, max(cycle.ls.ncols, i)))
 
 
 def assemble_hessenberg(r_hat: np.ndarray, b_dense: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
@@ -427,7 +456,8 @@ def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
 
     ritz supplies the shifts for the newton bases and the step estimate;
     when needed and not given it is harvested with initial_step Arnoldi
-    iterations on op from the driver's first residual.
+    iterations on op from the driver's first residual, and that harvest is
+    the solve's first cycle: its iterate is kept, and it is not a restart.
     """
     cfg = config if config is not None else SolverConfig()
     counter = counter if counter is not None else ReductionCounter()

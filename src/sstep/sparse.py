@@ -8,6 +8,7 @@ product is fixed left to right and repeated runs are bitwise reproducible.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,13 +132,41 @@ def _fail(lineno: int, msg: str):
     raise ValueError(f"line {lineno}: {msg}")
 
 
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _read_entries(body: list, n: int, nnz: int, symmetric: bool):
+    """The entry lines as 0-based (rows, cols, vals), read by one np.loadtxt call.
+
+    Returns None when the read fails or any entry breaks a rule: the count,
+    an index outside 1..n, a non-finite value, or an entry above the
+    diagonal of a symmetric file.  The caller then reads line by line to
+    name the offending line.
+    """
+    try:
+        with warnings.catch_warnings():  # an empty body warns; its count check fails
+            warnings.simplefilter("ignore", UserWarning)
+            ent = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    i, j, v = ent["i"], ent["j"], ent["v"]
+    if (len(ent) != nnz or not np.isfinite(v).all()
+            or min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > n
+            or (symmetric and (j > i).any())):
+        return None
+    return i - 1, j - 1, v
+
+
 def parse_matrix_market(path) -> SparseMatrix:
     """Read a square real Matrix Market coordinate file.
 
     Supports the ``general`` and ``symmetric`` qualifiers.  Symmetric files
     must store the lower triangle and are expanded eagerly.  Duplicate
     entries are summed.  Malformed input raises ValueError naming the
-    offending line number.
+    offending line number, and so does a size line with fewer entries than
+    it takes to give every row one (a row with no entry makes the matrix
+    singular).  The entry lines are read in one vectorized pass; only a
+    file that breaks a rule is read again line by line, to find the line.
     """
     with open(path, "r", encoding="ascii", errors="replace") as f:
         lines = f.read().splitlines()
@@ -172,13 +201,31 @@ def parse_matrix_market(path) -> SparseMatrix:
         _fail(k + 1, f"matrix must be square, got {nrows} x {ncols}")
     if nrows <= 0 or nnz < 0:
         _fail(k + 1, "dimensions must be positive")
+    # a stored entry fills one row, or two when it mirrors across the diagonal
+    if nrows > (2 * nnz if sym == "symmetric" else nnz):
+        _fail(k + 1, f"{nnz} {sym} entries cannot give each of {nrows} rows an entry")
 
-    cap = min(nnz, len(lines) - k - 1)  # an oversized count fails as a short file
+    entries = _read_entries(lines[k + 1 :], nrows, nnz, sym == "symmetric")
+    if entries is None:
+        entries = _read_entries_by_line(lines, k + 1, nrows, nnz, sym == "symmetric")
+    rows, cols, vals = entries
+    if sym == "symmetric":
+        off = rows != cols
+        mirror_r, mirror_c, mirror_v = cols[off], rows[off], vals[off]
+        rows = np.concatenate([rows, mirror_r])
+        cols = np.concatenate([cols, mirror_c])
+        vals = np.concatenate([vals, mirror_v])
+    return SparseMatrix.from_coo(nrows, rows, cols, vals)
+
+
+def _read_entries_by_line(lines: list, start: int, n: int, nnz: int, symmetric: bool):
+    """_read_entries one line at a time from lines[start], failing at the first bad line."""
+    cap = min(nnz, len(lines) - start)  # an oversized count fails as a short file
     rows = np.empty(cap, dtype=np.int64)
     cols = np.empty(cap, dtype=np.int64)
     vals = np.empty(cap, dtype=np.float64)
     got = 0
-    for lineno in range(k + 1, len(lines)):
+    for lineno in range(start, len(lines)):
         text = lines[lineno].strip()
         if not text:
             continue
@@ -194,22 +241,15 @@ def parse_matrix_market(path) -> SparseMatrix:
             _fail(lineno + 1, f"cannot parse entry '{text}'")
         if not math.isfinite(v):
             _fail(lineno + 1, f"non-finite value '{parts[2]}'")
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            _fail(lineno + 1, f"index ({i}, {j}) outside 1..{nrows}")
-        if sym == "symmetric" and j > i:
+        if not (1 <= i <= n and 1 <= j <= n):
+            _fail(lineno + 1, f"index ({i}, {j}) outside 1..{n}")
+        if symmetric and j > i:
             _fail(lineno + 1, "symmetric file must store the lower triangle")
         rows[got], cols[got], vals[got] = i - 1, j - 1, v
         got += 1
     if got != nnz:
         _fail(len(lines), f"expected {nnz} entries, found {got}")
-
-    if sym == "symmetric":
-        off = rows != cols
-        mirror_r, mirror_c, mirror_v = cols[off], rows[off], vals[off]
-        rows = np.concatenate([rows, mirror_r])
-        cols = np.concatenate([cols, mirror_c])
-        vals = np.concatenate([vals, mirror_v])
-    return SparseMatrix.from_coo(nrows, rows, cols, vals)
+    return rows, cols, vals
 
 
 def gen_diagonal(n: int, lo: float, hi: float) -> SparseMatrix:

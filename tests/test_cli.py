@@ -74,6 +74,15 @@ class TestExitCodes:
         assert err.startswith("sstep: error:")
         assert "row 0" in err and "diagonal" in err
 
+    def test_oversized_matrix_market_size_is_one(self, tmp_path, capsys):
+        # the size line alone would have CSR storage ask for hundreds of TiB
+        path = tmp_path / "big.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "100000000000000 100000000000000 1\n1 1 1.0\n")
+        code, out, err = run_cli(capsys, "--matrix", str(path), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("sstep: error: line 2:")
+
     @pytest.mark.parametrize("solver", ["adaptive", "gmres"])
     def test_breakdown_is_two(self, tmp_path, capsys, solver):
         # singular matrix with a right hand side outside its range
@@ -120,7 +129,7 @@ class TestFlagsReachTheRun:
         assert header == "iter,rel_res,loo,block_size,reductions_cum,spmv_cum"
 
     def test_estimator_flag(self, tmp_path, capsys):
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys, "--matrix", "diag:50:0.5:5", "--s0", "8",
             "--restart", "30", "--estimator", "on", "--out", str(tmp_path))
         assert code == 0
@@ -128,6 +137,9 @@ class TestFlagsReachTheRun:
             meta = json.load(f)
         assert meta["result"]["s0_star"] is not None
         assert meta["solver"]["use_step_estimator"] is True
+        # the estimate's harvest cycle ran first, and it is not a restart
+        assert meta["result"]["blocks"][0]["phase"] == "harvest"
+        assert f"({meta['result']['restarts']} restart" in out
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["--matrix", "diag:4:1:2"])

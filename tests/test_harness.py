@@ -242,6 +242,30 @@ class TestRunExperiment:
                              str(tmp_path))
         out = res.summary["result"]
         assert out["converged"] and out["block_sizes"] == [] and out["wasted_columns"] == 10
+        # the block that fell back has no condition value
+        assert out["blocks"] == [dict(phase="solve", asked=10, kept=0, stopped_by="breakdown",
+                                      last_cond=None)]
+
+    def test_sidecar_records_every_block(self, tmp_path):
+        man = small_manifest(matrix="lap2d:12", basis="scaled-newton", initial_step=12,
+                             restart_len=24)
+        res = run_experiment(man, str(tmp_path))
+        with open(res.json_path, encoding="ascii") as f:
+            out = json.load(f)["result"]
+        blocks = out["blocks"]
+        assert out["converged"] and len(blocks) == len(res.trace.blocks)
+        # the harvest cycle comes first; block_sizes and wasted_columns
+        # count the solve blocks alone
+        phases = [blk["phase"] for blk in blocks]
+        assert phases[0] == "harvest" and phases[-1] == "solve"
+        assert phases == sorted(phases)  # every harvest block before every solve block
+        solve = [blk for blk in blocks if blk["phase"] == "solve"]
+        assert [blk["kept"] for blk in solve if blk["kept"]] == out["block_sizes"]
+        assert sum(blk["asked"] - blk["kept"] for blk in solve) == out["wasted_columns"]
+        for blk, rec in zip(blocks, res.trace.blocks):
+            assert (blk["asked"], blk["kept"], blk["stopped_by"]) == (rec.asked, rec.kept,
+                                                                     rec.stopped_by)
+            assert blk["last_cond"] == float(rec.cond_trace[-1])
 
     def test_setup_time_covers_matrix_build(self, tmp_path, monkeypatch):
         build = sstep.harness.resolve_matrix

@@ -429,25 +429,31 @@ class TestEdgeBehavior:
         harvested = []
         harvest = sstep.solvers.ritz_harvest
 
-        def spy(op, rhs, k, counter=None):
+        def spy(op, rhs, k, counter=None, cycle=None):
             harvested.append(np.array(rhs))
-            return harvest(op, rhs, k, counter)
+            return harvest(op, rhs, k, counter, cycle=cycle)
 
         monkeypatch.setattr(sstep.solvers, "ritz_harvest", spy)
         a, _ = diag_problem(20)
         cfg = SolverConfig(basis=basis, initial_step=5, restart_len=10,
                            use_step_estimator=estimator)
         tr = adaptive_gmres(a.matvec, np.zeros(20), x0=np.ones(20), config=cfg)
-        assert tr.converged and tr.iterations == 98 and not tr.breakdown
+        assert tr.converged and not tr.breakdown
         if basis == "monomial" and not estimator:
             assert harvested == [] and tr.counter.get("spmv", "harvest") == 0
+            assert tr.iterations == 98
             return
+        # the harvest's 5 columns are the first cycle, and the solve cycles
+        # of 10 follow it
+        assert tr.iterations == 94 and tr.restarts == 8
         npt.assert_array_equal(harvested, [-a.matvec(np.ones(20))])
         own = ReductionCounter()
         harvest(a.matvec, harvested[0], 5, own)
-        # the harvest starts from the driver's first residual, which costs
-        # the harvest no operator application of its own
+        # the harvest starts from the driver's first residual, which the
+        # driver normed: it costs the harvest no operator application and
+        # no norm of its own
         assert tr.counter.get("spmv", "harvest") == own.get("spmv", "harvest")
+        assert tr.counter.get("norms", "harvest") == own.get("norms", "harvest") - 1
 
     def test_exact_x0_needs_no_harvest(self):
         a = gen_diagonal(8, 2.0, 2.0)
@@ -667,6 +673,68 @@ class TestRitzHarvest:
             ritz_harvest(a.matvec, np.ones(4), 0)
         with pytest.raises(ValueError, match="zero vector"):
             ritz_harvest(a.matvec, np.zeros(4), 2)
+
+
+class TestHarvestCycle:
+    """The Ritz harvest of an adaptive solve is the solve's first cycle."""
+
+    def test_converges_within_the_harvest(self):
+        # a clustered spectrum: GMRES meets 1e-10 at column 7 of the 8 the
+        # harvest builds, so no solve block and no solve cycle runs
+        a = gen_diagonal(200, 1.0, 1.1)
+        b = unit_rhs(np.random.default_rng(1), 200)
+        cfg = SolverConfig(basis="scaled-newton", initial_step=8, restart_len=16)
+        tr = adaptive_gmres(a.matvec, b, config=cfg)
+        assert tr.converged and not tr.breakdown
+        assert tr.iterations == 7 and tr.restarts == 0
+        assert tr.block_sizes == [] and tr.counter.get("spmv", "mpk") == 0
+        assert {blk.phase for blk in tr.blocks} == {"harvest"}
+        assert tr.final_relative_residual <= 10 * tr.residuals[-1] <= 10 * cfg.rel_tol
+
+    def test_exhausted_harvest_returns_the_solution(self):
+        # K_6(A, b) is R^6: the harvest's fallback column finds the space
+        # exhausted, and the least-squares solution there solves A x = b
+        small = gen_diagonal(6, 1.0, 6.0)
+        cfg = SolverConfig(basis="scaled-newton", initial_step=6, restart_len=6)
+        tr = adaptive_gmres(small.matvec, small.matvec(np.ones(6)), config=cfg)
+        assert tr.converged and not tr.breakdown and tr.restarts == 0
+        assert tr.blocks[-1].stopped_by == "breakdown" and tr.blocks[-1].phase == "harvest"
+        assert tr.block_sizes == [] and tr.counter.get("spmv", "mpk") == 0
+        npt.assert_allclose(tr.x, np.ones(6), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,k", [(30, 30), (20, 40)])
+    def test_harvest_cycle_saves_one_cycle_of_operator_applications(self, n, k):
+        # a harvest run standalone and then a solve that is handed its values
+        # builds K_k(A, r0) twice; the solve that keeps the harvest cycle
+        # builds it once and applies the operator exactly k times less
+        a = gen_laplace2d(n)
+        b = unit_rhs(np.random.default_rng(3), a.n)
+        cfg = SolverConfig(basis="scaled-newton", initial_step=k, restart_len=k, max_restarts=20)
+        kept = adaptive_gmres(a.matvec, b, config=cfg)
+        counter = ReductionCounter()
+        ritz = ritz_harvest(a.matvec, b, k, counter)
+        thrown = adaptive_gmres(a.matvec, b, config=cfg, ritz=ritz, counter=counter)
+        assert kept.converged and thrown.converged
+        assert kept.iterations == thrown.iterations
+        assert kept.restarts == thrown.restarts - 1
+        assert kept.counter.kind_total("spmv") == counter.kind_total("spmv") - k
+        assert kept.counter.get("spmv", "harvest") == counter.get("spmv", "harvest")
+
+    def test_solve_blocks_tile_the_solve_cycles(self):
+        # a 10-column harvest ahead of 30-column solve cycles: the harvest's
+        # blocks are not solve blocks, and its cycle is not a restart
+        a = gen_laplace2d(30)
+        b = unit_rhs(np.random.default_rng(3), a.n)
+        cfg = SolverConfig(basis="scaled-newton", initial_step=10, restart_len=30,
+                           max_restarts=1, rel_tol=1e-14)
+        tr = adaptive_gmres(a.matvec, b, config=cfg)
+        assert not tr.converged and not tr.breakdown
+        assert tr.restarts == 1 and tr.iterations == 10 + 2 * 30
+        # the solve blocks fill the first solve cycle exactly, then the second
+        assert 30 in np.cumsum(tr.block_sizes) and sum(tr.block_sizes) == 2 * 30
+        # the harvest's 10 columns are the first 10 trace rows
+        harvest = [blk.kept for blk in tr.blocks if blk.phase == "harvest"]
+        assert list(tr.block_size[:10]) == [p for p in harvest for _ in range(p)]
 
 
 class TestConfigValidation:

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+import sstep.sparse
 from sstep import (
     SparseMatrix,
     equilibrate,
@@ -193,9 +194,19 @@ class TestMatrixMarket:
         ("%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 1\n1 1 1\n", 1, "symmetry"),
         ("%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n", 2, "square"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 one\n1 1 1.0\n", 2, "integers"),
-        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", 3, "outside"),
-        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n", 3, "parse"),
-        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n", 3, "non-finite"),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n2 1 1.0\n", 3, "outside"),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 x 1.0\n", 3, "parse"),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 nan\n", 3, "non-finite"),
+        # too few entries to give every row one, refused before any allocation
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n", 2, "each of 2 rows"),
+        ("%%MatrixMarket matrix coordinate real general\n100000000000000 100000000000000 1\n"
+         "1 1 1.0\n", 2, "each of 100000000000000 rows"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n5 5 2\n2 1 1.0\n4 3 1.0\n", 2,
+         "each of 5 rows"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 1.0\n1 2 1.0\n"
+         "2 1 1.0\n", 6, "more than 3 entries"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0 0\n", 4,
+         "row col value"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 -inf\n", 4, "non-finite"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", 3, "expected 2 entries"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 100000000000000\n1 1 1.0\n", 3,
@@ -206,6 +217,35 @@ class TestMatrixMarket:
         p = self.write(tmp_path, text)
         with pytest.raises(ValueError, match=f"line {lineno}:.*{msg}"):
             parse_matrix_market(p)
+
+    @pytest.mark.parametrize("sym", ["general", "symmetric"])
+    def test_vectorized_read_matches_line_by_line(self, tmp_path, sym):
+        # the line-by-line read is the reference: same entries, same bits
+        rng = np.random.default_rng(7)
+        n, nnz = 60, 400
+        rows = rng.integers(1, n + 1, nnz)
+        cols = rng.integers(1, n + 1, nnz)
+        if sym == "symmetric":
+            rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+        vals = rng.standard_normal(nnz) * 10.0 ** rng.integers(-200, 200, nnz)
+        lines = ["%%MatrixMarket matrix coordinate real " + sym, f"{n} {n} {nnz}"]
+        lines += [f"{r} {c} {float(v)!r}" for r, c, v in zip(rows, cols, vals)]
+        a = parse_matrix_market(self.write(tmp_path, "\n".join(lines) + "\n"))
+        assert sstep.sparse._read_entries(lines[2:], n, nnz, sym == "symmetric") is not None
+        r, c, v = sstep.sparse._read_entries_by_line(lines, 2, n, nnz, sym == "symmetric")
+        if sym == "symmetric":
+            off = r != c
+            r, c, v = (np.concatenate([r, c[off]]), np.concatenate([c, r[off]]),
+                       np.concatenate([v, v[off]]))
+        ref = SparseMatrix.from_coo(n, r, c, v)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(ref, name))
+
+    def test_entry_the_vectorized_read_refuses_is_read_line_by_line(self, tmp_path):
+        # Python's float() takes digit grouping, which np.loadtxt refuses
+        p = self.write(tmp_path, "%%MatrixMarket matrix coordinate real general\n"
+                                 "2 2 2\n1 1 1_000.5\n2 2 2.0\n")
+        npt.assert_array_equal(parse_matrix_market(p).to_dense(), [[1000.5, 0], [0, 2.0]])
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValueError, match="line 1"):
