@@ -1,8 +1,8 @@
 """Command line front end for single experiment runs.
 
 Exit status: 0 when the run completed (converged or budget exhausted),
-1 on usage or input errors, 2 when the solver broke down and its fallback
-could not continue.
+1 on usage or input errors or when the problem does not fit in memory, 2
+when the solver broke down and its fallback could not continue.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ def main(argv=None) -> int:
         result = run_experiment(RunManifest(**kwargs), args.out)
     except (ValueError, OSError) as exc:
         print(f"sstep: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"sstep: error: the problem does not fit in memory: {exc}", file=sys.stderr)
         return 1
     except ZeroPivotError as exc:
         print(f"sstep: error: ilu0: {exc}", file=sys.stderr)

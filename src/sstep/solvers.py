@@ -59,7 +59,9 @@ class SolveTrace:
     has one BlockRecord per adaptive block, the harvest's included;
     block_sizes and wasted_columns are read from the solve blocks alone.
     restarts counts solve cycles: a harvest cycle is not a restart.  s0_star
-    is the step estimate, when one ran.
+    is the step estimate, when one ran.  beta0 is ||r0||, and
+    final_relative_residual is ||b - A x|| / ||r0|| of the returned x (0
+    when r0 = 0).
     """
 
     converged: bool
@@ -156,49 +158,55 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
                      counter: ReductionCounter, step) -> SolveTrace:
     """Restarted GMRES around a basis-extending step.
 
+    (x, r, beta) is the iterate state: r = b - A x and beta = ||r|| of the
+    current x.  Each residual is formed once, with its norm: the first
+    before the loop, the end point's after a full cycle, x_new's at a
+    confirmation.  Everything else reads the state; the final relative
+    residual is beta / beta0.  A first residual whose norm is not finite
+    raises ValueError.
+
     step(cycle) extends the cycle's basis and returns None to go on, or a
     signal (k, est, exhausted): solve on the first k columns, whose
     residual estimate is est, and confirm.  exhausted marks a Krylov
-    space that cannot grow.  step.width is the step's current block width.
+    space that cannot grow; one exhausted at its first column (k = 0) has
+    nothing to confirm.  step.width is the step's current block width.
     step.start(r, cycle) sees the first residual and its cycle.  When
     step.harvests, that first cycle is the Ritz harvest's: start fills it
     and leaves its signal in cycle.signal, and the driver ends it like any
     other cycle, keeping its iterate.  The harvest cycle is not a restart,
     and it never ends the solve as a breakdown: the solve cycles follow it.
-    The trace takes step.s0_star.
-    A confirmation that neither converges nor improves on the cycle start
-    ends the solve as a breakdown when the width did not change during the
-    cycle, since the restarted cycle would repeat this one exactly.
+    The trace takes step.s0_star.  An exhausted space, or a confirmation
+    that neither converges nor improves on the cycle start, ends the solve
+    as a breakdown when the width did not change during the cycle, since
+    the restarted cycle would repeat this one exactly.
     """
     b = np.asarray(b, dtype=np.float64)
-    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=np.float64)
     op_res = _counted(op, counter, "residual")
+
+    def residual(x):
+        """b - A x and its norm; b itself for the zero start x = None."""
+        r = b if x is None else b - op_res(x)
+        counter.add("norms", "residual")
+        return r, float(np.linalg.norm(r))
+
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused next
+        r, beta = residual(None if x0 is None else x)
+    if not math.isfinite(beta):
+        raise ValueError(f"the first residual {'b' if x0 is None else 'b - A x0'} has norm "
+                         f"{beta}: it holds inf or NaN, or its norm overflows")
+    beta0 = beta
 
     # one basis for all cycles, one vector per row: a cycle reads only the
     # rows it wrote
     q = np.empty((cfg.restart_len + 1, len(b)))
     rows, blocks = [], []
-    beta0 = None
-    converged = False
-    breakdown = False
-    final_rel = math.inf
+    converged = breakdown = False
     first = -1 if step.harvests else 0  # cycle -1 is the harvest's
     for cycle in range(first, cfg.max_restarts + 1):  # restarts = max(cycle, 0) after the loop
-        if cycle == first and x0 is None:
-            r = b.copy()
-        else:
-            r = b - op_res(x)
-        counter.add("norms", "residual")
-        beta = float(np.linalg.norm(r))
-        if beta0 is None:
-            beta0 = beta
-            if beta0 == 0.0:
-                converged, final_rel = True, 0.0
-                break
-        if beta <= cfg.rel_tol * beta0:
-            converged, final_rel = True, beta / beta0
+        if beta <= cfg.rel_tol * beta0:  # also a zero first residual
+            converged = True
             break
-
         cyc = _Cycle(q, r, beta, beta0, cfg, counter, rows, blocks)
         if cycle == first:
             step.start(r, cyc)
@@ -208,37 +216,28 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         if cyc.signal is None:
             # full cycle without a convergence signal: advance the iterate
             x = x + cyc.ls.solve() @ cyc.q[: cyc.ls.ncols]
+            r, beta = residual(x)
             continue
         k, est, exhausted = cyc.signal
-        if k == 0:
-            if cycle < 0:
-                continue
-            breakdown, final_rel = True, beta / beta0
-            break
-        # confirm against the true residual; the update is kept only when it
-        # converges or improves on the cycle start, since a least-squares
-        # solve that crossed a near-dependent column can hand back a worse point
-        x_new = x + cyc.ls.solve(k) @ cyc.q[:k]
-        counter.add("true_residual_checks", "residual")
-        true_nrm = float(np.linalg.norm(b - op_res(x_new)))
-        counter.add("norms", "residual")
-        # the 10x allowance on the estimate applies only to an estimate that
-        # met the tolerance; an exhausted space above it is not convergence
-        converged = true_nrm <= (max(10.0 * est, cyc.tol) if est <= cyc.tol else cyc.tol)
-        kept = converged or true_nrm < beta
-        if kept:
-            x, final_rel = x_new, true_nrm / beta0
-        else:
-            final_rel = beta / beta0
+        kept = False
+        if k > 0:
+            # confirm against the true residual; the update is kept only when it
+            # converges or improves on the cycle start, since a least-squares
+            # solve that crossed a near-dependent column can hand back a worse point
+            x_new = x + cyc.ls.solve(k) @ cyc.q[:k]
+            counter.add("true_residual_checks", "residual")
+            r_new, beta_new = residual(x_new)
+            # the 10x allowance on the estimate applies only to an estimate that
+            # met the tolerance; an exhausted space above it is not convergence
+            converged = beta_new <= (max(10.0 * est, cyc.tol) if est <= cyc.tol else cyc.tol)
+            kept = converged or beta_new < beta
+            if kept:
+                x, r, beta = x_new, r_new, beta_new
         if converged:
             break
         if cycle >= 0 and (exhausted or (not kept and step.width == width)):
             breakdown = True
             break
-    if not converged and not breakdown:
-        counter.add("norms", "residual")
-        final_rel = float(np.linalg.norm(b - op_res(x))) / beta0
-
     residuals, loo, block_size, reductions_cum, spmv_cum = np.array(rows).reshape(-1, 5).T
     return SolveTrace(
         converged=converged,
@@ -251,7 +250,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         spmv_cum=spmv_cum.astype(np.int64),
         counter=counter,
         beta0=beta0,
-        final_relative_residual=final_rel,
+        final_relative_residual=beta / beta0 if beta0 > 0.0 else 0.0,
         restarts=max(cycle, 0),
         breakdown=breakdown,
         blocks=blocks,
@@ -391,9 +390,13 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
     if cycle is None:
         rhs = np.asarray(rhs, dtype=np.float64)
         counter.add("norms", "harvest")
-        beta = float(np.linalg.norm(rhs))
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            beta = float(np.linalg.norm(rhs))
         if beta == 0.0:
             raise ValueError("cannot harvest from a zero vector")
+        if not math.isfinite(beta):
+            raise ValueError(f"cannot harvest from rhs of norm {beta}: it holds inf or NaN, "
+                             "or its norm overflows")
         cycle = _Cycle(np.empty((k + 1, len(rhs))), rhs, beta, beta, cfg, own, [], [])
         cycle.tol = -math.inf  # never stop on the least-squares estimate
     step = _BlockStep(op, own, cfg, None, "harvest")

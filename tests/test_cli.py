@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import sstep.harness
 from sstep.cli import build_parser, main
 
 
@@ -56,8 +57,12 @@ class TestExitCodes:
          "initial_step"),
         (["--matrix", "diag:40:0.5:5.0", "--tol", "inf"], "rel_tol"),
         (["--matrix", "diag:40:0.5:5.0", "--rhs", "random", "--seed", "-1"], "seed"),
+        # finite entries, but the norm of b = A @ ones overflows
+        (["--matrix", "diag:50:1e300:1e300"], "the first residual b has norm inf"),
+        (["--matrix", "diag:50:1e300:1e300", "--equilibrate", "scalar"],
+         "cannot harvest from rhs of norm inf"),
     ], ids=["extra-field", "bad-float", "nan-field", "zero-n", "s0-zero-scalar", "tol-inf",
-            "seed-negative"])
+            "seed-negative", "overflowing-b", "overflowing-b-scalar-harvest"])
     def test_bad_input_names_it(self, tmp_path, capsys, argv, msg):
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
         assert code == 1
@@ -82,6 +87,18 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "--matrix", str(path), "--out", str(tmp_path))
         assert code == 1
         assert err.startswith("sstep: error: line 2:")
+
+    def test_problem_too_large_for_memory_is_one(self, tmp_path, capsys, monkeypatch):
+        # stands in for numpy refusing lap2d:100000; a real allocation that
+        # size would be filled on a host that overcommits memory
+        def refuse(spec):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(sstep.harness, "resolve_matrix", refuse)
+        code, out, err = run_cli(capsys, "--matrix", "lap2d:100000", "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("sstep: error: the problem does not fit in memory: Unable")
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("solver", ["adaptive", "gmres"])
     def test_breakdown_is_two(self, tmp_path, capsys, solver):

@@ -241,6 +241,25 @@ def test_forced_fallback_is_the_baseline(a, b, kw, monkeypatch):
     assert {**fallback, "spmv": 0} == ortho
 
 
+# every solver on every shared problem; the scaled Newton basis cannot run
+# on the nilpotent matrix, whose only Ritz value is 0
+SOLVES = [(name, solver, basis) for name in PROBLEMS
+          for solver, basis in ((gmres_baseline, "monomial"), (adaptive_gmres, "monomial"),
+                                (adaptive_gmres, "newton"), (adaptive_gmres, "scaled-newton"))
+          if (name, basis) != ("nilpotent", "scaled-newton")]
+
+
+@pytest.mark.parametrize("name,solver,basis", SOLVES,
+                         ids=[f"{n}-{s.__name__}-{bs}" for n, s, bs in SOLVES])
+def test_final_relative_residual_is_that_of_x(name, solver, basis):
+    # the driver's residual state describes the x it returns, and it was
+    # formed by the same arithmetic as here, so the two agree to the bit
+    a, b, kw = PROBLEMS[name]
+    tr = solver(a.matvec, b, config=SolverConfig(basis=basis, **kw))
+    assert tr.beta0 == np.linalg.norm(b)
+    assert tr.final_relative_residual == np.linalg.norm(b - a.matvec(tr.x)) / tr.beta0
+
+
 def compose_blocks(ad, b, kind, s, nblocks, ritz=None, check=None):
     """Run nblocks s-step blocks on a row-stored basis, one vector per row.
 
@@ -402,12 +421,12 @@ class TestEdgeBehavior:
 
     def test_zero_rhs_is_trivially_converged(self):
         a, _ = diag_problem(20)
+        cfg = SolverConfig(basis="monomial", initial_step=5, restart_len=10,
+                           use_step_estimator=True)
         for solver in (adaptive_gmres, gmres_baseline):
-            tr = solver(a.matvec, np.zeros(20), config=SolverConfig(basis="monomial",
-                                                                    initial_step=5,
-                                                                    restart_len=10))
-            assert tr.converged and tr.iterations == 0
-            assert tr.final_relative_residual == 0.0
+            tr = solver(a.matvec, np.zeros(20), config=cfg)
+            assert tr.converged and tr.iterations == 0 and not tr.breakdown
+            assert tr.final_relative_residual == 0.0 and tr.s0_star is None
             npt.assert_array_equal(tr.x, np.zeros(20))
 
     @pytest.mark.parametrize("estimator", [False, True], ids=["fixed", "estimator"])
@@ -468,12 +487,12 @@ class TestEdgeBehavior:
     def test_exact_x0_returns_immediately(self):
         a = gen_diagonal(8, 2.0, 2.0)  # A = 2 I, so b / 2 is exact in floats
         b = np.random.default_rng(4).standard_normal(8)
+        cfg = SolverConfig(basis="monomial", initial_step=2, restart_len=4,
+                           use_step_estimator=True)
         for solver in (adaptive_gmres, gmres_baseline):
-            tr = solver(a.matvec, b, x0=b / 2.0,
-                        config=SolverConfig(basis="monomial", initial_step=2,
-                                            restart_len=4))
-            assert tr.converged and tr.iterations == 0
-            assert tr.final_relative_residual == 0.0
+            tr = solver(a.matvec, b, x0=b / 2.0, config=cfg)
+            assert tr.converged and tr.iterations == 0 and not tr.breakdown
+            assert tr.final_relative_residual == 0.0 and tr.s0_star is None
 
     def test_partial_x0_converges_against_initial_residual(self):
         a, b = diag_problem(100, 7)
@@ -502,6 +521,44 @@ class TestEdgeBehavior:
             assert tr.breakdown and not tr.converged
             # the reported point is never worse than where it started
             assert tr.final_relative_residual <= 1.0
+
+    @pytest.mark.parametrize("name,basis,checks,spmv,norms", [
+        ("singular", "newton", 1, 1, 2),
+        ("singular", "scaled-newton", 1, 1, 2),
+        ("nilpotent", "newton", 0, 0, 1),
+    ], ids=["singular-newton", "singular-scaled-newton", "nilpotent-newton"])
+    def test_unconverged_harvest_leaves_its_residual_to_the_solve(self, name, basis,
+                                                                   checks, spmv, norms):
+        # the harvest cycle ends without converging: on the singular system
+        # its confirmation improves on b, on the nilpotent one its space is
+        # exhausted at the first column and there is nothing to confirm.  The
+        # solve cycle starts from the residual the driver holds, without
+        # forming it again, and finds its space exhausted: a breakdown
+        a, b, kw = PROBLEMS[name]
+        tr = adaptive_gmres(a.matvec, b, config=SolverConfig(basis=basis, **kw))
+        assert tr.breakdown and not tr.converged and tr.restarts == 0
+        got = tuple(tr.counter.get(kind, "residual")
+                    for kind in ("true_residual_checks", "spmv", "norms"))
+        assert got == (checks, spmv, norms)
+        # the least-squares minimum keeps the unreachable component of b
+        assert tr.final_relative_residual == pytest.approx(abs(b[0]) / np.linalg.norm(b))
+
+    @pytest.mark.parametrize("solver,basis", [
+        (gmres_baseline, "monomial"), (adaptive_gmres, "monomial"),
+        (adaptive_gmres, "scaled-newton"),
+    ], ids=["baseline", "monomial", "scaled-newton"])
+    @pytest.mark.parametrize("n,b,x0,msg", [
+        (8, np.where(np.arange(8) == 3, np.inf, 1.0), None, "residual b has norm inf"),
+        (8, np.where(np.arange(8) == 3, np.nan, 1.0), None, "residual b has norm nan"),
+        (8, np.ones(8), np.where(np.arange(8) == 0, np.inf, 0.0), "b - A x0 has norm inf"),
+        # finite entries whose norm overflows
+        (50, np.full(50, 1e300), None, "residual b has norm inf"),
+    ], ids=["inf-b", "nan-b", "inf-x0", "overflowing-b"])
+    def test_non_finite_first_residual_is_refused(self, solver, basis, n, b, x0, msg):
+        a = gen_diagonal(n, 1.0, 2.0)
+        cfg = SolverConfig(basis=basis, initial_step=2, restart_len=4, use_step_estimator=True)
+        with pytest.raises(ValueError, match=msg):
+            solver(a.matvec, b, x0=x0, config=cfg)
 
     @pytest.mark.parametrize("a,b,m", [
         (PROBLEMS["nilpotent"][0], np.random.default_rng(11).standard_normal(2), 10),
@@ -673,6 +730,10 @@ class TestRitzHarvest:
             ritz_harvest(a.matvec, np.ones(4), 0)
         with pytest.raises(ValueError, match="zero vector"):
             ritz_harvest(a.matvec, np.zeros(4), 2)
+        for rhs, norm in ((np.full(4, np.inf), "inf"), (np.array([1.0, np.nan, 1.0, 1.0]), "nan"),
+                          (np.full(4, 1e300), "inf")):
+            with pytest.raises(ValueError, match=f"rhs of norm {norm}"):
+                ritz_harvest(a.matvec, rhs, 2)
 
 
 class TestHarvestCycle:

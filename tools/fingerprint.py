@@ -6,7 +6,8 @@ Imports ``sstep`` from ``CHECKOUT/src`` and runs a fixed set of problems:
 manifests through ``run_experiment`` (the baseline, all three bases,
 ILU(0), scalar and column equilibration, the step estimator, and a
 nonsymmetric convection-diffusion matrix read from a Matrix Market file,
-whose harvest has 18 conjugate pairs), plus direct solver calls with
+whose harvest has 18 conjugate pairs, and a singular system whose
+confirmation does not converge), plus direct solver calls with
 short user-given shift sets that have to be cycled and a harvest that
 exhausts the Krylov space of ``diag:6``.
 
@@ -83,6 +84,11 @@ def manifests(mtx: str) -> list:
         ("convdiff-monomial", dict(matrix=mtx, initial_step=12, restart_len=40)),
         ("convdiff-ilu0", dict(matrix=mtx, basis="scaled-newton", precond="ilu0",
                                initial_step=20, restart_len=20, use_step_estimator=True)),
+        # singular, b outside the range: the harvest's confirmation improves on
+        # b without converging, and the solve then breaks down
+        ("singular-scaled-newton", dict(matrix="diag:2:0:1", basis="scaled-newton",
+                                        initial_step=2, restart_len=8, max_restarts=5,
+                                        rhs="random", seed=4)),
     ]
 
 
