@@ -4,7 +4,8 @@ The monomial basis multiplies by A each step and its column norms explode
 at the rate of the largest eigenvalue.  Newton shifts recenter each step;
 the scaled variant also normalizes, keeping column norms near one.  All
 three satisfy the same algebraic relation A V[:, :s] = V B, with B the
-banded change-of-basis matrix.  A block keeps at most the columns before
+banded change-of-basis matrix; the demo stores V one vector per row, as
+the solver does.  A block keeps at most the columns before
 the first one whose norm passes the block QR's overflow limit.
 """
 
@@ -33,9 +34,9 @@ for kind in ("monomial", "newton", "scaled-newton"):
     rows[0] = v0
     matrix_powers(op, rows, cob)
     k = int(np.sum(np.cumprod(np.linalg.norm(rows[1:], axis=1) <= OVERFLOW_LIMIT)))
-    v = rows[: k + 1].T
-    norms = np.linalg.norm(v, axis=0)
-    relation = np.linalg.norm(diag[:, None] * v[:, :k] - v @ cob.dense()[: k + 1, :k])
+    v = rows[: k + 1]  # one vector per row
+    norms = np.linalg.norm(v, axis=1)
+    relation = np.linalg.norm(v[:k] * diag - cob.dense()[: k + 1, :k].T @ v)
     note = "" if k == s else f"  (the block QR's overflow stop keeps at most {k} of {s})"
     print(f"\n{kind:>14}: {k} columns{note}")
     print(f"{'':>14}  column norm range [{norms.min():.2e}, {norms.max():.2e}]")

@@ -174,9 +174,8 @@ def build_change_of_basis(kind: str, s: int, ritz: RitzSet | None = None) -> Cha
 class KrylovBlock:
     """Output of the matrix-powers kernel.
 
-    v is n x ncols, the transpose view of the rows the kernel filled (not
-    the seed), so v.T streams whole vectors when they are C-order.  ncols
-    is always the width of the change of basis.
+    v is ncols x n, a view of the rows the kernel filled (not the seed),
+    one vector per row.  ncols is always the width of the change of basis.
     """
 
     v: np.ndarray
@@ -201,4 +200,4 @@ def matrix_powers(op, rows: np.ndarray, cob: ChangeOfBasis) -> KrylovBlock:
             if cob.coupling[k] != 0.0:
                 w += cob.coupling[k] * rows[k - 1]
             w /= cob.scale[k]
-    return KrylovBlock(rows[1:].T, s)
+    return KrylovBlock(rows[1:], s)

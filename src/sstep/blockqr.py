@@ -40,7 +40,7 @@ class BlockQrOutcome:
     r_hat      : (i + p) x (p + 1) coefficient block whose first column is
                  the unit vector for the seed and whose remaining columns
                  express the candidate block in the extended basis.
-    p          : accepted column count.
+    p          : accepted candidate count.
     cond_trace : first-pass per-column condition values (the adaptation
                  signal; includes the first rejected column when the stop
                  was the condition limit).
@@ -55,62 +55,49 @@ class BlockQrOutcome:
     stopped_by: str
 
 
-def _right_solve(rows: np.ndarray, r: np.ndarray) -> None:
-    """Overwrite rows with the rows of X, X R = V, for upper triangular R.
+def project(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The coefficients q @ rows.T of rows on the basis rows q.
 
-    C-contiguous rows are solved in place; any other layout is copied back.
-    """
-    x = dtrsm(1.0, r, rows.T, side=1, overwrite_b=True).T
-    if not np.may_share_memory(x, rows):
-        rows[...] = x
-
-
-def project(qt: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The coefficients qt @ rows.T of rows on the basis rows qt.
-
-    Summed over column tiles of at most TILE_BYTES of qt; when one tile
+    Summed over column tiles of at most TILE_BYTES of q; when one tile
     covers the whole length this is a single product.
     """
-    n = qt.shape[1]
-    width = max(1, TILE_BYTES // (qt.itemsize * max(qt.shape[0], 1)))
-    out = qt[:, :width] @ rows[:, :width].T
+    n = q.shape[1]
+    width = max(1, TILE_BYTES // (q.itemsize * max(q.shape[0], 1)))
+    out = q[:, :width] @ rows[:, :width].T
     for lo in range(width, n, width):
-        out += qt[:, lo : lo + width] @ rows[:, lo : lo + width].T
+        out += q[:, lo : lo + width] @ rows[:, lo : lo + width].T
     return out
 
 
 def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcome:
-    """Orthonormalize candidate columns v against basis q and each other, in place.
+    """Orthonormalize candidate rows v against basis rows q and each other, in place.
 
-    q is n x i with orthonormal columns (i may be 0), v is an n x s float64
-    array.  The candidates are projected off q, factored by the
-    condition-limited Cholesky (keeping p columns), normalized, then the
-    whole projection and factorization runs a second time to restore
-    orthogonality lost to cancellation.  On return v[:, :p] holds the new
-    orthonormal columns and the rest of v scratch values.
+    q is i x n with orthonormal rows (i may be 0), v an s x n C-contiguous
+    float64 array, one vector per row, as the solver stores its basis.
+    The candidates are projected off q, factored by the condition-limited
+    Cholesky (keeping p rows), normalized, then the whole projection and
+    factorization runs a second time to restore orthogonality lost to
+    cancellation.  On return v[:p] holds the new orthonormal rows and the
+    rest of v scratch values.
 
     This call alone decides p.  The kept prefix ends before the first
     candidate whose norm is above OVERFLOW_LIMIT or not finite (an overflow
     stop), before one whose projected norm is at roundoff level against its
     own (a pivot stop), and where either factorization pass stops.  Raises
-    BreakdownError when no column survives.
-
-    All work runs on the row-stacked transposes q.T and v.T, one vector
-    per row; they are free views when q and v are transposes of C-order
-    row arrays, as the solver passes them.
+    BreakdownError when no row survives.
 
     counter, when given, receives the four block reduction events with
     phase 'ortho'.
     """
     q = np.asarray(q, dtype=np.float64)
-    if not (isinstance(v, np.ndarray) and v.dtype == np.float64):
-        raise ValueError("v must be a float64 array: the new columns overwrite it")
-    if q.ndim != 2 or v.ndim != 2 or q.shape[0] != v.shape[0]:
-        raise ValueError("q and v must share their row dimension")
-    i = q.shape[1]
-    if v.shape[1] < 1:
+    if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.flags.carray):
+        raise ValueError("v must be a writeable C-contiguous float64 array: "
+                         "the new rows overwrite it")
+    if q.ndim != 2 or v.ndim != 2 or q.shape[1] != v.shape[1]:
+        raise ValueError("q and v must share their row length")
+    i = q.shape[0]
+    if v.shape[0] < 1:
         raise ValueError("candidate block is empty")
-    qt, vt = q.T, v.T
 
     def count(kind):
         if counter is not None:
@@ -119,16 +106,16 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
     count("projections")
     # the candidates' own norms ride on the same reduction; an overflowed one
     # and those generated from it are dropped before any arithmetic
-    before = np.sqrt(np.einsum("ij,ij->i", vt, vt))
+    before = np.sqrt(np.einsum("ij,ij->i", v, v))
     over = ~(before <= OVERFLOW_LIMIT)
     s = int(np.argmax(over)) if over.any() else len(over)
-    vt, before = vt[:s], before[:s]
+    v, before = v[:s], before[:s]
     # updated in place: each pass's update is the one block-sized temporary
-    w = project(qt, vt)
-    np.subtract(vt, w.T @ qt, out=vt)
+    w = project(q, v)
+    np.subtract(v, w.T @ q, out=v)
 
     count("gram_products")
-    g = vt @ vt.T
+    g = v @ v.T
     # a candidate that the projection leaves at roundoff level lies in
     # span(q): it and the candidates after it are dropped, as at a pivot stop
     noise = negligible(np.sqrt(np.diag(g)), i, before)
@@ -142,12 +129,13 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
     if stopped_by == "none" and keep < len(over):
         stopped_by = "pivot" if keep < s else "overflow"
     z = pc1.r
-    q1 = vt[:p]
-    _right_solve(q1, z)
+    # X Z = V for the rows, in place: the transpose of C-order rows is F-contiguous
+    q1 = v[:p]
+    dtrsm(1.0, z, q1.T, side=1, overwrite_b=True)
 
     count("projections")
-    w2 = project(qt, q1)
-    np.subtract(q1, w2.T @ qt, out=q1)
+    w2 = project(q, q1)
+    np.subtract(q1, w2.T @ q, out=q1)
 
     count("gram_products")
     g2 = q1 @ q1.T
@@ -156,7 +144,7 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
         p, stopped_by = pc2.p, "second pass"
         z = np.ascontiguousarray(z[:p, :p])
     z2 = pc2.r[:p, :p]
-    _right_solve(q1[:p], z2)
+    dtrsm(1.0, z2, q1[:p].T, side=1, overwrite_b=True)
 
     r_hat = np.zeros((i + p, p + 1))
     if i:

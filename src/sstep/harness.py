@@ -124,7 +124,8 @@ class SolverConfig:
     """Knobs shared by both solvers; block-specific fields are ignored by the baseline.
 
     basis            : basis recurrence, one of CHOICES['basis'].
-    initial_step     : starting block size s0.
+    initial_step     : starting block size s0, at most restart_len for the
+                       adaptive solver, whose first cycle may harvest s0 columns.
     restart_len      : Krylov columns per cycle.
     max_restarts     : extra cycles allowed after the first.
     rel_tol          : convergence target for the relative residual.
@@ -162,8 +163,6 @@ class SolverConfig:
             raise ValueError("restart_len must be positive")
         if self.max_restarts < 0:
             raise ValueError("max_restarts cannot be negative")
-        if self.initial_step > self.restart_len:
-            raise ValueError("initial_step cannot exceed restart_len")
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
         if not self.cond_limit >= 1.0:
@@ -195,6 +194,8 @@ class RunManifest(SolverConfig):
         super().__post_init__()
         for name in ("solver", "precond", "equilibrate", "rhs"):
             _check_choice(self, name)
+        if self.solver == "adaptive" and self.initial_step > self.restart_len:
+            raise ValueError("initial_step cannot exceed restart_len")
         if self.seed < 0:
             raise ValueError("seed cannot be negative")
 

@@ -27,7 +27,7 @@ from .sparse import SparseMatrix
 
 
 class ZeroPivotError(RuntimeError):
-    """Raised when the factorization hits a zero pivot."""
+    """Raised when the factorization hits a zero pivot or a non-finite factor entry."""
 
 
 @dataclass
@@ -70,8 +70,9 @@ def _eliminate(a: SparseMatrix, keys: np.ndarray, diag_pos: np.ndarray,
     entries left of the diagonal.  Row i's j-th lower entry (i, k) takes
     l_ik = a_ik / u_kk, then every entry (i, c) with c in row k's upper part
     gets a_ic -= l_ik u_kc, ranks in increasing order: the order of the IKJ
-    loop.  The rows of one level touch disjoint entries.  A zero pivot
-    leaves inf or nan in the rows that use it; the caller reports it.
+    loop.  The rows of one level touch disjoint entries.  A zero pivot or
+    an overflow leaves inf or nan in the rows that use it; the caller
+    reports it.
     """
     n = a.n
     # int64 index arrays (copies of int32 ones): numpy casts an int32 index
@@ -87,7 +88,7 @@ def _eliminate(a: SparseMatrix, keys: np.ndarray, diag_pos: np.ndarray,
     del by_col
     pending = nlow.copy()
     level = np.flatnonzero(pending == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while level.size:
             for j in range(int(nlow[level].max())):
                 rows = level[nlow[level] > j]
@@ -112,7 +113,9 @@ def ilu0(a: SparseMatrix) -> ILU0:
     """Compute the ILU(0) factorization of a square sparse matrix.
 
     Every row must contain a structural diagonal entry.  A zero pivot
-    raises ZeroPivotError naming the row the row-by-row loop stops at.
+    raises ZeroPivotError naming the row the row-by-row loop stops at, and
+    an elimination that overflows one naming the first row whose factor
+    entries are not all finite.
     """
     n = a.n
     indptr, indices = a.indptr, a.indices
@@ -142,6 +145,10 @@ def ilu0(a: SparseMatrix) -> ILU0:
         used = np.flatnonzero(zero[indices[low]])
         k = int(indices[low[used[0]]]) if used.size else int(np.argmax(zero))
         raise ZeroPivotError(f"row {k}: zero pivot")
+    finite = np.isfinite(luval)
+    if not finite.all():
+        k = int(np.searchsorted(indptr, np.argmin(finite), side="right")) - 1
+        raise ZeroPivotError(f"row {k}: factor entry is not finite, the elimination overflowed")
 
     low_end = np.cumsum(diag_pos - indptr[:-1])
     l_factor = _sp.csr_matrix(

@@ -89,6 +89,15 @@ class SolveTrace:
         return sum(blk.asked - blk.kept for blk in self.blocks if blk.phase == "solve")
 
 
+def _real_vector(name: str, v, n: int | None = None) -> np.ndarray:
+    """v as a float64 array; ValueError naming it unless it is a real 1-D array of length n."""
+    v = np.asarray(v)
+    if v.dtype.kind not in "biuf" or v.ndim != 1 or n not in (None, len(v)):
+        want = "" if n is None else f" of length {n}"
+        raise ValueError(f"{name} must be a real 1-D array{want}, got {v.dtype} of shape {v.shape}")
+    return v.astype(np.float64, copy=False)
+
+
 def _counted(op, counter: ReductionCounter, phase: str):
     def apply(v):
         counter.add("spmv", phase)
@@ -162,8 +171,8 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     current x.  Each residual is formed once, with its norm: the first
     before the loop, the end point's after a full cycle, x_new's at a
     confirmation.  Everything else reads the state; the final relative
-    residual is beta / beta0.  A first residual whose norm is not finite
-    raises ValueError.
+    residual is beta / beta0.  A b or x0 that is not a real vector, or a
+    first residual whose norm is not finite, raises ValueError.
 
     step(cycle) extends the cycle's basis and returns None to go on, or a
     signal (k, est, exhausted): solve on the first k columns, whose
@@ -180,7 +189,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     as a breakdown when the width did not change during the cycle, since
     the restarted cycle would repeat this one exactly.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = _real_vector("b", b)
     op_res = _counted(op, counter, "residual")
 
     def residual(x):
@@ -189,7 +198,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         counter.add("norms", "residual")
         return r, float(np.linalg.norm(r))
 
-    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(len(b)) if x0 is None else _real_vector("x0", x0, len(b)).copy()
     with np.errstate(over="ignore"):  # an overflowing norm is refused next
         r, beta = residual(None if x0 is None else x)
     if not math.isfinite(beta):
@@ -348,7 +357,7 @@ class _BlockStep:
         # built in the basis rows it will occupy, which fit: s_eff <= m - i + 1
         blk = matrix_powers(self.op, q[i - 1 : i + s_eff], cob)
         try:
-            outcome = bcgs2_partial_cholqr(q[:i].T, blk.v, cfg.cond_limit, counter=self.counter)
+            outcome = bcgs2_partial_cholqr(q[:i], blk.v, cfg.cond_limit, counter=self.counter)
         except BreakdownError:
             cyc.blocks.append(BlockRecord(self.phase, s_eff, 0, "breakdown", np.empty(0)))
             return self.fallback(cyc)
@@ -388,7 +397,7 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
     # keeps them out of the caller's solve phases
     own = ReductionCounter()
     if cycle is None:
-        rhs = np.asarray(rhs, dtype=np.float64)
+        rhs = _real_vector("rhs", rhs)
         counter.add("norms", "harvest")
         with np.errstate(over="ignore"):  # an overflowing norm is refused below
             beta = float(np.linalg.norm(rhs))
@@ -463,5 +472,7 @@ def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
     the solve's first cycle: its iterate is kept, and it is not a restart.
     """
     cfg = config if config is not None else SolverConfig()
+    if cfg.initial_step > cfg.restart_len:  # the harvest cycle must fit the basis
+        raise ValueError("initial_step cannot exceed restart_len")
     counter = counter if counter is not None else ReductionCounter()
     return _restarted_gmres(op, b, x0, cfg, counter, _BlockStep(op, counter, cfg, ritz))

@@ -223,12 +223,13 @@ class TestCriterion8Properties:
     def test_a_block_qr_matches_householder(self):
         rng = np.random.default_rng(81)
         n, i, s = 64, 9, 7
-        q0 = np.linalg.qr(rng.standard_normal((n, i)))[0]
-        cand = rng.standard_normal((n, s))
+        # basis and candidates stored one vector per row, as the solver does
+        q0 = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, i)))[0].T)
+        cand = rng.standard_normal((s, n))
         q_new = cand.copy()
         out = bcgs2_partial_cholqr(q0, q_new, 1e7)
-        full = np.linalg.qr(np.hstack([q0, cand]))[0][:, : i + out.p]
-        ang = float(np.max(sla.subspace_angles(np.hstack([q0, q_new[:, : out.p]]), full)))
+        full = np.linalg.qr(np.vstack([q0, cand]).T)[0][:, : i + out.p]
+        ang = float(np.max(sla.subspace_angles(np.vstack([q0, q_new[: out.p]]).T, full)))
         self.results["a"] = ang <= 1e-10
         assert self.results["a"], f"principal angle {ang:.2e}"
 
@@ -247,10 +248,10 @@ class TestCriterion8Properties:
             cob = build_change_of_basis(kind, s, ritz if kind != "monomial" else None)
             rows = np.empty((s + 1, n))
             rows[0] = v0
-            v = np.hstack([v0[:, None], matrix_powers(a.matvec, rows, cob).v])
-            gap = np.linalg.norm(ad @ v[:, :s] - v @ cob.dense())
+            v = np.vstack([v0, matrix_powers(a.matvec, rows, cob).v])  # one vector per row
+            gap = np.linalg.norm(v[:s] @ ad.T - cob.dense().T @ v)
             bound = 32 * s * eps * np.linalg.norm(ad) * np.max(
-                np.linalg.norm(v, axis=0))
+                np.linalg.norm(v, axis=1))
             ok = ok and gap <= bound
         self.results["b"] = ok
         assert ok
@@ -265,21 +266,20 @@ class TestCriterion8Properties:
         for kind in ("monomial", "scaled-newton"):
             # one basis vector per row; each block is generated into the
             # rows it occupies
-            qt = np.zeros((1 + 3 * s, n))
+            q = np.zeros((1 + 3 * s, n))
             h = np.zeros((1 + 3 * s, 3 * s))
-            qt[0] = b / np.linalg.norm(b)
+            q[0] = b / np.linalg.norm(b)
             i = 1
             for _ in range(3):
                 cob = build_change_of_basis(
                     kind, s, ritz.cycled(s) if kind != "monomial" else None)
-                blk = matrix_powers(lambda v: ad @ v, qt[i - 1 : i + s], cob)
-                out = bcgs2_partial_cholqr(qt[:i].T, blk.v, 1e7)
+                blk = matrix_powers(lambda v: ad @ v, q[i - 1 : i + s], cob)
+                out = bcgs2_partial_cholqr(q[:i], blk.v, 1e7)
                 h[: i + out.p, i - 1 : i - 1 + out.p] = assemble_hessenberg(
                     out.r_hat, cob.dense(), h[:i, : i - 1])
                 i += out.p
                 k = i - 1
-                q = qt.T
-                gap = np.linalg.norm(ad @ q[:, :k] - q[:, :i] @ h[:i, :k])
+                gap = np.linalg.norm(q[:k] @ ad.T - h[:i, :k].T @ q[:i])
                 ok = ok and gap <= 1e-8
         self.results["c"] = ok
         assert ok

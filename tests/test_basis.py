@@ -225,10 +225,10 @@ class TestMatrixPowers:
         cob = build_change_of_basis(kind, 4, rs)
         blk = generate(self.op, self.seed, cob)
         assert blk.ncols == 4
-        vfull = np.column_stack([self.seed, blk.v])
-        lhs = self.a @ vfull[:, :4]
-        rhs = vfull @ cob.dense()
-        scale = max(np.linalg.norm(vfull[:, j]) for j in range(5))
+        vfull = np.vstack([self.seed, blk.v])  # one vector per row
+        lhs = vfull[:4] @ self.a.T
+        rhs = cob.dense().T @ vfull
+        scale = max(np.linalg.norm(vfull[j]) for j in range(5))
         npt.assert_allclose(lhs, rhs, atol=1e-13 * np.linalg.norm(self.a) * scale)
 
     def test_matches_explicit_recurrence_bitwise(self):
@@ -239,7 +239,7 @@ class TestMatrixPowers:
         prev2, prev = np.zeros_like(self.seed), self.seed
         for k in range(4):
             w = (self.op(prev) - cob.shift[k] * prev + cob.coupling[k] * prev2) / cob.scale[k]
-            npt.assert_array_equal(blk.v[:, k], w)
+            npt.assert_array_equal(blk.v[k], w)
             prev2, prev = prev, w
 
     def test_zero_shift_unit_scale_equals_monomial_bitwise(self):
@@ -256,7 +256,7 @@ class TestMatrixPowers:
         manual.scale[:] = 2.0
         blk = generate(self.op, self.seed, manual)
         ref = generate(self.op, self.seed, build_change_of_basis("monomial", 3))
-        npt.assert_array_equal(blk.v * [2.0, 4.0, 8.0], ref.v)
+        npt.assert_array_equal(blk.v * [[2.0], [4.0], [8.0]], ref.v)
 
     def test_fills_the_rows_after_the_seed_in_place(self):
         cob = build_change_of_basis("monomial", 3)
@@ -264,8 +264,10 @@ class TestMatrixPowers:
         rows[0] = self.seed
         blk = matrix_powers(self.op, rows, cob)
         assert blk.ncols == 3 and np.shares_memory(blk.v, rows)
+        # the rows themselves, as the block QR takes them
+        assert blk.v.shape == (3, 20) and blk.v.flags.c_contiguous
         npt.assert_array_equal(rows[0], self.seed)
-        npt.assert_array_equal(blk.v, rows[1:].T)
+        npt.assert_array_equal(blk.v, rows[1:])
         npt.assert_array_equal(rows[3], self.a @ (self.a @ (self.a @ self.seed)))
 
     @pytest.mark.parametrize("nrows", [3, 5])

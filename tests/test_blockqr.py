@@ -1,4 +1,4 @@
-"""Reorthogonalized block QR with condition-limited column acceptance."""
+"""Reorthogonalized block QR with condition-limited acceptance, on basis rows."""
 
 import warnings
 
@@ -20,48 +20,49 @@ from sstep.dense import PartialCholeskyResult
 
 
 def ortho_basis(rng, n, i):
+    """i orthonormal rows of length n, one basis vector per row."""
     if i == 0:
-        return np.zeros((n, 0))
-    return np.linalg.qr(rng.standard_normal((n, i)))[0]
+        return np.zeros((0, n))
+    return np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, i)))[0].T)
 
 
 class TestWellConditioned:
     def test_from_empty_basis_matches_householder(self):
         rng = np.random.default_rng(41)
-        v = rng.standard_normal((30, 5))
+        v = rng.standard_normal((5, 30))
         q_new = v.copy()
-        out = bcgs2_partial_cholqr(np.zeros((30, 0)), q_new, 1e7)
+        out = bcgs2_partial_cholqr(np.zeros((0, 30)), q_new, 1e7)
         assert out.p == 5 and out.stopped_by == "none"
-        npt.assert_allclose(q_new.T @ q_new, np.eye(5), atol=1e-14)
+        npt.assert_allclose(q_new @ q_new.T, np.eye(5), atol=1e-14)
         # same span as a Householder factorization
-        qh = np.linalg.qr(v)[0]
-        angles = sla.subspace_angles(q_new, qh)
+        qh = np.linalg.qr(v.T)[0]
+        angles = sla.subspace_angles(q_new.T, qh)
         assert np.max(angles) < 1e-12
         # first coefficient column is empty when there is no prior basis
         npt.assert_array_equal(out.r_hat[:, 0], np.zeros(5))
-        npt.assert_allclose(q_new @ out.r_hat[:, 1:], v, atol=1e-13)
+        npt.assert_allclose(out.r_hat[:, 1:].T @ q_new, v, atol=1e-13)
 
     def test_against_existing_basis(self):
         rng = np.random.default_rng(42)
         n, i, s = 40, 6, 4
         q = ortho_basis(rng, n, i)
-        v = rng.standard_normal((n, s))
+        v = rng.standard_normal((s, n))
         q_new = v.copy()
         out = bcgs2_partial_cholqr(q, q_new, 1e7)
         assert out.p == s
-        npt.assert_allclose(q.T @ q_new, np.zeros((i, s)), atol=1e-14)
-        npt.assert_allclose(q_new.T @ q_new, np.eye(s), atol=1e-14)
+        npt.assert_allclose(q @ q_new.T, np.zeros((i, s)), atol=1e-14)
+        npt.assert_allclose(q_new @ q_new.T, np.eye(s), atol=1e-14)
         # r_hat reconstructs the candidates in the extended basis and
         # carries the seed unit vector in its first column
-        ext = np.column_stack([q, q_new])
-        npt.assert_allclose(ext @ out.r_hat[:, 1:], v, atol=1e-12)
+        ext = np.vstack([q, q_new])
+        npt.assert_allclose(out.r_hat[:, 1:].T @ ext, v, atol=1e-12)
         e_seed = np.zeros(i + s)
         e_seed[i - 1] = 1.0
         npt.assert_array_equal(out.r_hat[:, 0], e_seed)
 
     def test_diagonal_of_new_block_positive(self):
         rng = np.random.default_rng(43)
-        out = bcgs2_partial_cholqr(ortho_basis(rng, 25, 3), rng.standard_normal((25, 5)), 1e7)
+        out = bcgs2_partial_cholqr(ortho_basis(rng, 25, 3), rng.standard_normal((5, 25)), 1e7)
         trailing = out.r_hat[3:, 1:]
         assert np.all(np.diag(trailing) > 0)
         npt.assert_allclose(np.tril(trailing, -1), 0.0, atol=1e-16)
@@ -73,7 +74,7 @@ class TestReductionEvents:
         rng = np.random.default_rng(44)
         counter = ReductionCounter()
         q = ortho_basis(rng, 30, i)
-        bcgs2_partial_cholqr(q, rng.standard_normal((30, s)), 1e7, counter=counter)
+        bcgs2_partial_cholqr(q, rng.standard_normal((s, 30)), 1e7, counter=counter)
         assert counter.get("projections", "ortho") == 2
         assert counter.get("gram_products", "ortho") == 2
         assert counter.phase_reductions("ortho") == 4
@@ -81,9 +82,9 @@ class TestReductionEvents:
     def test_four_events_even_when_truncated(self):
         rng = np.random.default_rng(45)
         counter = ReductionCounter()
-        v = rng.standard_normal((30, 4))
-        v[:, 2] = v[:, 0] + 1e-12 * v[:, 1]  # nearly dependent
-        out = bcgs2_partial_cholqr(np.zeros((30, 0)), v, 1e7, counter=counter)
+        v = rng.standard_normal((4, 30))
+        v[2] = v[0] + 1e-12 * v[1]  # nearly dependent
+        out = bcgs2_partial_cholqr(np.zeros((0, 30)), v, 1e7, counter=counter)
         assert out.p < 4
         assert counter.phase_reductions("ortho") == 4
 
@@ -94,19 +95,19 @@ class TestIllConditioned:
         n, i = 60, 5
         q = ortho_basis(rng, n, i)
         base = rng.standard_normal(n)
-        v = np.column_stack([base * (10.0 ** -(3 * k)) + 1e-9 * rng.standard_normal(n)
-                             for k in range(5)])
+        v = np.vstack([base * (10.0 ** -(3 * k)) + 1e-9 * rng.standard_normal(n)
+                       for k in range(5)])
         out = bcgs2_partial_cholqr(q, v, 1e7)
         assert 1 <= out.p <= 5
-        ext = np.column_stack([q, v[:, : out.p]])
-        npt.assert_allclose(ext.T @ ext, np.eye(i + out.p), atol=1e-13)
+        ext = np.vstack([q, v[: out.p]])
+        npt.assert_allclose(ext @ ext.T, np.eye(i + out.p), atol=1e-13)
 
     def test_condition_stop_is_visible_in_trace(self):
         rng = np.random.default_rng(47)
         n = 50
-        u = np.linalg.qr(rng.standard_normal((n, 4)))[0]
-        v = u @ np.diag([1.0, 1e-2, 1e-5, 1e-12])
-        out = bcgs2_partial_cholqr(np.zeros((n, 0)), v, 1e7)
+        u = ortho_basis(rng, n, 4)
+        v = np.diag([1.0, 1e-2, 1e-5, 1e-12]) @ u
+        out = bcgs2_partial_cholqr(np.zeros((0, n)), v, 1e7)
         assert out.stopped_by == "condition"
         assert out.p < 4
         assert len(out.cond_trace) == out.p + 1
@@ -115,37 +116,39 @@ class TestIllConditioned:
 
     def test_zero_block_breaks_down(self):
         with pytest.raises(BreakdownError):
-            bcgs2_partial_cholqr(np.zeros((10, 0)), np.zeros((10, 3)), 1e7)
+            bcgs2_partial_cholqr(np.zeros((0, 10)), np.zeros((3, 10)), 1e7)
 
     def test_candidates_equal_to_basis_columns_break_down(self):
-        q = np.eye(20)[:, :4]  # exactly orthonormal, so projection cancels exactly
-        v = q[:, :2].copy()
+        q = np.eye(20)[:4]  # exactly orthonormal, so projection cancels exactly
+        v = q[:2].copy()
         with pytest.raises(BreakdownError):
             bcgs2_partial_cholqr(q, v, 1e7)
 
     def test_roundoff_candidate_ends_prefix_as_pivot_stop(self):
         # the third candidate lies in span(q) up to roundoff: the first two
         # are kept, the stop is recorded like a pivot stop, and it costs
-        # no extra reduction
+        # no extra reduction; the dropped rows took part in the first
+        # projection, a product of another shape than the head's alone, so
+        # the kept rows match the head's to roundoff
         rng = np.random.default_rng(48)
         n = 40
         q = ortho_basis(rng, n, 3)
-        v = rng.standard_normal((n, 4))
-        v[:, 2] = q @ rng.standard_normal(3)
+        v = rng.standard_normal((4, n))
+        v[2] = rng.standard_normal(3) @ q
         counter = ReductionCounter()
-        head = v[:, :2].copy()
+        head = v[:2].copy()
         out = bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
         assert out.p == 2 and out.stopped_by == "pivot"
         assert len(out.cond_trace) == 2
         assert counter.phase_reductions("ortho") == 4
         full = bcgs2_partial_cholqr(q, head, 1e7)
-        npt.assert_array_equal(v[:, :2], head)
-        npt.assert_array_equal(out.r_hat, full.r_hat)
+        npt.assert_allclose(v[:2], head, rtol=0, atol=1e-14)
+        npt.assert_allclose(out.r_hat, full.r_hat, rtol=0, atol=1e-14)
 
     def test_first_candidate_in_span_breaks_down_after_first_pass(self):
         rng = np.random.default_rng(49)
         q = ortho_basis(rng, 40, 3)
-        v = np.column_stack([q @ rng.standard_normal(3), rng.standard_normal(40)])
+        v = np.vstack([rng.standard_normal(3) @ q, rng.standard_normal(40)])
         counter = ReductionCounter()
         with pytest.raises(BreakdownError, match="span"):
             bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
@@ -166,13 +169,13 @@ class TestIllConditioned:
         monkeypatch.setattr(sstep.blockqr, "partial_cholesky", second_keeps_two)
         rng = np.random.default_rng(50)
         q = ortho_basis(rng, 40, 3)
-        v = rng.standard_normal((40, 4))
+        v = rng.standard_normal((4, 40))
         out = bcgs2_partial_cholqr(q, v, 1e7)
         assert kept == [4, 4]
         assert (out.p, out.stopped_by) == (2, "second pass")
         assert out.r_hat.shape == (5, 3)
-        ext = np.column_stack([q, v[:, :2]])
-        npt.assert_allclose(ext.T @ ext, np.eye(5), atol=1e-13)
+        ext = np.vstack([q, v[:2]])
+        npt.assert_allclose(ext @ ext.T, np.eye(5), atol=1e-13)
 
 
 def tiles_of(monkeypatch, i, width):
@@ -185,15 +188,15 @@ class TestTiledProjections:
                                            (45, 7, 1), (45, 0, 4), (50, 3, 7)])
     def test_project_sums_tiles_to_the_product(self, monkeypatch, n, i, width):
         rng = np.random.default_rng(50)
-        qt = rng.standard_normal((i, n))
+        q = rng.standard_normal((i, n))
         rows = rng.standard_normal((5, n))
         tiles_of(monkeypatch, i, width)
-        c = project(qt, rows)
+        c = project(q, rows)
         assert c.shape == (i, 5)
-        npt.assert_allclose(c, qt @ rows.T, rtol=0, atol=1e-13)
+        npt.assert_allclose(c, q @ rows.T, rtol=0, atol=1e-13)
         if width >= n:
             # one tile is the single product
-            npt.assert_array_equal(c, qt @ rows.T)
+            npt.assert_array_equal(c, q @ rows.T)
 
     @pytest.mark.parametrize("i", [0, 1, 7])
     @pytest.mark.parametrize("s", [1, 5])
@@ -202,7 +205,7 @@ class TestTiledProjections:
         # tiles of 6 columns: several full tiles and a ragged last one
         rng = np.random.default_rng(51)
         q = ortho_basis(rng, n, i)
-        v = rng.standard_normal((n, s))
+        v = rng.standard_normal((s, n))
         w = v.copy()
         whole = bcgs2_partial_cholqr(q, w, 1e7)
         tiles_of(monkeypatch, i, 6)
@@ -210,7 +213,7 @@ class TestTiledProjections:
         tiled = bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
         assert counter.phase_reductions("ortho") == 4
         assert (tiled.p, tiled.stopped_by) == (whole.p, whole.stopped_by)
-        npt.assert_allclose(v[:, : tiled.p], w[:, : whole.p], rtol=0, atol=1e-14)
+        npt.assert_allclose(v[: tiled.p], w[: whole.p], rtol=0, atol=1e-14)
         npt.assert_allclose(tiled.r_hat, whole.r_hat, rtol=0, atol=1e-14)
         npt.assert_allclose(tiled.cond_trace, whole.cond_trace, rtol=1e-14)
 
@@ -231,9 +234,8 @@ class TestOverflowStop:
     @pytest.mark.parametrize("k", [1, 3])
     def test_candidate_ends_prefix(self, monkeypatch, bad, k):
         # candidate k and every one after it are dropped before any
-        # arithmetic touches them: the kept columns are bitwise those of a
-        # call on the first k candidates, at no extra reduction; both calls
-        # take candidates stored as rows, as the solver does
+        # arithmetic touches them: the kept rows are bitwise those of a
+        # call on the first k candidates, at no extra reduction
         monkeypatch.setattr(sstep.blockqr, "OVERFLOW_LIMIT", 1e3)
         rng = np.random.default_rng(52)
         n = 40
@@ -243,10 +245,10 @@ class TestOverflowStop:
         rows[k + 1 :] = np.inf
         head = rows[:k].copy()
         counter = ReductionCounter()
-        out = bcgs2_partial_cholqr(q, rows.T, 1e7, counter=counter)
+        out = bcgs2_partial_cholqr(q, rows, 1e7, counter=counter)
         assert out.p <= k and out.stopped_by == "overflow"
         assert counter.phase_reductions("ortho") == 4
-        full = bcgs2_partial_cholqr(q, head.T, 1e7)
+        full = bcgs2_partial_cholqr(q, head, 1e7)
         assert (full.p, full.stopped_by) == (out.p, "none")
         npt.assert_array_equal(rows[: out.p], head[: out.p])
         npt.assert_array_equal(out.r_hat, full.r_hat)
@@ -254,8 +256,8 @@ class TestOverflowStop:
 
     def test_first_candidate_overflowing_breaks_down_after_first_pass(self):
         rng = np.random.default_rng(53)
-        v = rng.standard_normal((30, 3))
-        v[:, 0] *= 1e20
+        v = rng.standard_normal((3, 30))
+        v[0] *= 1e20
         counter = ReductionCounter()
         with pytest.raises(BreakdownError, match="first candidate overflows"):
             bcgs2_partial_cholqr(ortho_basis(rng, 30, 2), v, 1e7, counter=counter)
@@ -271,24 +273,19 @@ class TestOverflowStop:
             warnings.simplefilter("error")
             blk = matrix_powers(lambda v: 1e9 * v, rows, build_change_of_basis("monomial", s))
             assert np.isinf(rows).any() and np.isnan(rows).any()
-            out = bcgs2_partial_cholqr(np.zeros((n, 0)), blk.v, 1e7)
+            out = bcgs2_partial_cholqr(np.zeros((0, n)), blk.v, 1e7)
         assert (out.p, out.stopped_by) == (1, "overflow")
         npt.assert_array_equal(rows[1], rows[0])
 
-    @pytest.mark.parametrize("layout", ["row-view", "plain"])
-    def test_results_land_in_v(self, monkeypatch, layout):
-        # the solver's C-order basis rows are solved in place; any other
-        # layout gets the solves' results copied back
+    def test_results_land_in_v(self, monkeypatch):
+        # the candidate rows, stored after the basis rows as the solver
+        # stores them, are solved in place by both triangular solves
         rng = np.random.default_rng(54)
         n, i, s = 50, 4, 5
-        q = ortho_basis(rng, n, i)
-        cand = rng.standard_normal((n, s))
-        if layout == "row-view":
-            rows = np.empty((i + s, n))
-            rows[:i], rows[i:] = q.T, cand.T
-            q, v = rows[:i].T, rows[i:].T
-        else:
-            v = cand.copy()
+        rows = np.empty((i + s, n))
+        rows[:i], rows[i:] = ortho_basis(rng, n, i), rng.standard_normal((s, n))
+        q, v = rows[:i], rows[i:]
+        cand = v.copy()
         in_place, solve = [], sstep.blockqr.dtrsm
 
         def spy(alpha, a, b, **kwargs):
@@ -299,21 +296,38 @@ class TestOverflowStop:
         monkeypatch.setattr(sstep.blockqr, "dtrsm", spy)
         out = bcgs2_partial_cholqr(q, v, 1e7)
         assert out.p == s
-        assert in_place == [layout == "row-view"] * 2
-        npt.assert_allclose(v.T @ v, np.eye(s), atol=1e-14)
-        npt.assert_allclose(q.T @ v, np.zeros((i, s)), atol=1e-14)
-        npt.assert_allclose(np.column_stack([q, v]) @ out.r_hat[:, 1:], cand, atol=1e-12)
+        assert in_place == [True] * 2
+        npt.assert_allclose(v @ v.T, np.eye(s), atol=1e-14)
+        npt.assert_allclose(q @ v.T, np.zeros((i, s)), atol=1e-14)
+        npt.assert_allclose(out.r_hat[:, 1:].T @ rows, cand, atol=1e-12)
 
     def test_candidates_must_be_a_float64_array(self):
         with pytest.raises(ValueError, match="float64"):
-            bcgs2_partial_cholqr(np.zeros((5, 0)), np.ones((5, 2), dtype=np.float32), 1e7)
+            bcgs2_partial_cholqr(np.zeros((0, 5)), np.ones((2, 5), dtype=np.float32), 1e7)
+
+    @pytest.mark.parametrize("layout", ["columns", "strided", "read-only"])
+    def test_candidates_the_rows_cannot_land_in_are_refused(self, layout):
+        # the new rows overwrite v, so a v they cannot be solved into in
+        # place is refused before any work, with v left as it was
+        rng = np.random.default_rng(55)
+        q = ortho_basis(rng, 30, 2)
+        v = {"columns": np.asfortranarray(rng.standard_normal((3, 30))),
+             "strided": rng.standard_normal((6, 30))[::2],
+             "read-only": rng.standard_normal((3, 30))}[layout]
+        v.flags.writeable = layout != "read-only"
+        before = v.copy()
+        counter = ReductionCounter()
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            bcgs2_partial_cholqr(q, v, 1e7, counter=counter)
+        npt.assert_array_equal(v, before)
+        assert counter.phase_reductions("ortho") == 0
 
 
 class TestGuards:
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="row dimension"):
-            bcgs2_partial_cholqr(np.zeros((5, 2)), np.zeros((6, 2)), 1e7)
+        with pytest.raises(ValueError, match="row length"):
+            bcgs2_partial_cholqr(np.zeros((2, 5)), np.zeros((2, 6)), 1e7)
 
     def test_empty_candidates(self):
         with pytest.raises(ValueError, match="empty"):
-            bcgs2_partial_cholqr(np.zeros((5, 2)), np.zeros((5, 0)), 1e7)
+            bcgs2_partial_cholqr(np.zeros((2, 5)), np.zeros((0, 5)), 1e7)

@@ -9,6 +9,11 @@ import sstep.harness
 from sstep.cli import build_parser, main
 
 
+# a 2 x 2 matrix whose ILU(0) elimination overflows: l_10 = 1e10 / 1e-300
+ILU_OVERFLOW_MTX = ("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 4\n1 1 1e-300\n1 2 1e10\n2 1 1e10\n2 2 1\n")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -61,13 +66,22 @@ class TestExitCodes:
         (["--matrix", "diag:50:1e300:1e300"], "the first residual b has norm inf"),
         (["--matrix", "diag:50:1e300:1e300", "--equilibrate", "scalar"],
          "cannot harvest from rhs of norm inf"),
+        (["--matrix", "ilu-overflow.mtx", "--precond", "ilu0"],
+         "ilu0: row 1: factor entry is not finite"),
+        # the adaptive solver's harvest cycle of s0 = 10 columns must fit
+        (["--matrix", "lap2d:8", "--restart", "5"], "initial_step cannot exceed restart_len"),
     ], ids=["extra-field", "bad-float", "nan-field", "zero-n", "s0-zero-scalar", "tol-inf",
-            "seed-negative", "overflowing-b", "overflowing-b-scalar-harvest"])
-    def test_bad_input_names_it(self, tmp_path, capsys, argv, msg):
-        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+            "seed-negative", "overflowing-b", "overflowing-b-scalar-harvest", "ilu0-overflow",
+            "s0-above-restart"])
+    def test_bad_input_names_it(self, tmp_path, capsys, monkeypatch, argv, msg):
+        # matrix files are read from the working directory; the run writes nothing
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ilu-overflow.mtx").write_text(ILU_OVERFLOW_MTX)
+        code, out, err = run_cli(capsys, *argv, "--out", "out")
         assert code == 1
         assert err.startswith("sstep: error:") and msg in err
-        assert not os.listdir(tmp_path)
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_ilu_missing_diagonal_is_one(self, tmp_path, capsys):
         path = tmp_path / "nodiag.mtx"
@@ -99,6 +113,16 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("sstep: error: the problem does not fit in memory: Unable")
         assert not os.listdir(tmp_path)
+
+    def test_baseline_runs_at_a_restart_below_the_initial_step(self, tmp_path, capsys):
+        # the baseline never reads initial_step, whose default 10 exceeds 5
+        code, out, err = run_cli(capsys, "--matrix", "lap2d:8", "--solver", "gmres",
+                                 "--restart", "5", "--out", str(tmp_path))
+        assert code == 0 and not err
+        with open(tmp_path / "gmres-monomial.json") as f:
+            meta = json.load(f)
+        assert (meta["solver"]["initial_step"], meta["solver"]["restart_len"]) == (10, 5)
+        assert meta["result"]["iterations"] > 0
 
     @pytest.mark.parametrize("solver", ["adaptive", "gmres"])
     def test_breakdown_is_two(self, tmp_path, capsys, solver):

@@ -115,10 +115,17 @@ class TestProblemBuilding:
         (dict(basis="cheb"), "unknown basis"),
         (dict(initial_step=0), "initial_step"),
         (dict(rel_tol=math.inf), "rel_tol"),
+        # the adaptive solver's harvest cycle of initial_step columns must fit
+        (dict(initial_step=40, restart_len=30), "initial_step cannot exceed restart_len"),
     ])
     def test_manifest_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
             RunManifest(matrix="diag:4:1:2", **kwargs)
+
+    def test_baseline_manifest_takes_initial_step_above_restart(self):
+        # the baseline never reads initial_step
+        man = RunManifest(matrix="diag:4:1:2", solver="gmres", initial_step=40, restart_len=30)
+        assert (man.initial_step, man.restart_len) == (40, 30)
 
     @pytest.mark.parametrize("kwargs,msg", [
         (dict(initial_step=2.5), "initial_step must be an integer, got 2.5"),

@@ -209,6 +209,15 @@ def test_zero_pivot_raises():
         ilu0(SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_overflowing_elimination_names_the_row():
+    # l_10 = 1e10 / 1e-300 overflows and u_11 = 1 - l_10 * 1e10 with it: no
+    # pivot is zero, but the factors are not finite, and SuperLU would
+    # call them singular
+    a = SparseMatrix.from_dense([[1e-300, 1e10], [1e10, 1.0]])
+    with pytest.raises(ZeroPivotError, match="^row 1: factor entry is not finite"):
+        ilu0(a)
+
+
 def test_missing_diagonal_raises():
     a = SparseMatrix.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
     with pytest.raises(ZeroPivotError):

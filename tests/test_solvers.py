@@ -1,6 +1,7 @@
 """Both solver drivers: correctness, adaptation, accounting, edge behavior."""
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -153,7 +154,7 @@ class TestAdaptive:
 
         def spy(q, v, *args, **kwargs):
             outcome = block_qr(q, v, *args, **kwargs)
-            requested.append(v.shape[1])
+            requested.append(v.shape[0])
             cut.append(outcome.stopped_by == "overflow")
             return outcome
 
@@ -274,7 +275,7 @@ def compose_blocks(ad, b, kind, s, nblocks, ritz=None, check=None):
     for _ in range(nblocks):
         cob = build_change_of_basis(kind, s, ritz.cycled(s) if ritz else None)
         blk = matrix_powers(lambda v: ad @ v, q[i - 1 : i + s], cob)
-        out = bcgs2_partial_cholqr(q[:i].T, blk.v, 1e7)
+        out = bcgs2_partial_cholqr(q[:i], blk.v, 1e7)
         p = out.p
         h[: i + p, i - 1 : i - 1 + p] = assemble_hessenberg(
             out.r_hat, cob.dense(), h[:i, : i - 1])
@@ -560,6 +561,26 @@ class TestEdgeBehavior:
         with pytest.raises(ValueError, match=msg):
             solver(a.matvec, b, x0=x0, config=cfg)
 
+    @pytest.mark.parametrize("solver,basis", [
+        (gmres_baseline, "monomial"), (adaptive_gmres, "monomial"),
+        (adaptive_gmres, "scaled-newton"),
+    ], ids=["baseline", "monomial", "scaled-newton"])
+    @pytest.mark.parametrize("b,x0,msg", [
+        (np.ones(8) + 1j, None, "b must be a real 1-D array, got complex128 of shape (8,)"),
+        (np.ones((8, 1)), None, "b must be a real 1-D array, got float64 of shape (8, 1)"),
+        (np.ones(8), np.zeros((8, 1)), "x0 must be a real 1-D array of length 8, got float64 "
+                                       "of shape (8, 1)"),
+        (np.ones(8), np.zeros(8, dtype=complex), "x0 must be a real 1-D array of length 8"),
+        (np.ones(8), np.zeros(7), "x0 must be a real 1-D array of length 8"),
+    ], ids=["complex-b", "column-b", "column-x0", "complex-x0", "short-x0"])
+    def test_rhs_that_is_not_a_real_vector_is_refused(self, solver, basis, b, x0, msg):
+        # a callable operator broadcasts a column x0 silently, and a complex
+        # b would lose its imaginary part
+        d = np.linspace(1.0, 2.0, 8)
+        cfg = SolverConfig(basis=basis, initial_step=2, restart_len=4, use_step_estimator=True)
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            solver(lambda v: d * v, b, x0=x0, config=cfg)
+
     @pytest.mark.parametrize("a,b,m", [
         (PROBLEMS["nilpotent"][0], np.random.default_rng(11).standard_normal(2), 10),
         (SparseMatrix.from_dense(np.diag([0.0, 1.0, 2.0])), np.ones(3), 4),
@@ -734,6 +755,11 @@ class TestRitzHarvest:
                           (np.full(4, 1e300), "inf")):
             with pytest.raises(ValueError, match=f"rhs of norm {norm}"):
                 ritz_harvest(a.matvec, rhs, 2)
+        for rhs, got in ((np.full(4, 1.0 + 1j), "complex128 of shape (4,)"),
+                         (np.ones((4, 1)), "float64 of shape (4, 1)")):
+            msg = f"rhs must be a real 1-D array, got {got}"
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                ritz_harvest(a.matvec, rhs, 2)
 
 
 class TestHarvestCycle:
@@ -804,7 +830,6 @@ class TestConfigValidation:
         (dict(initial_step=0), "initial_step"),
         (dict(restart_len=0), "restart_len"),
         (dict(max_restarts=-1), "max_restarts"),
-        (dict(initial_step=40, restart_len=30), "cannot exceed"),
         (dict(rel_tol=0.0), "rel_tol"),
         (dict(rel_tol=np.inf), "rel_tol"),
         (dict(rel_tol=np.nan), "rel_tol"),
@@ -815,6 +840,18 @@ class TestConfigValidation:
         base = dict(basis="monomial", initial_step=5, restart_len=50)
         with pytest.raises(ValueError, match=msg):
             SolverConfig(**{**base, **kwargs})
+
+    def test_initial_step_above_restart_is_refused_by_the_adaptive_solver_alone(self):
+        # the block solver's harvest cycle of initial_step columns must fit
+        # the restart basis; the baseline never reads initial_step
+        a, b = diag_problem(20)
+        cfg = SolverConfig(basis="monomial", initial_step=40, restart_len=30)
+        with pytest.raises(ValueError, match="initial_step cannot exceed restart_len"):
+            adaptive_gmres(a.matvec, b, config=cfg)
+        tr = gmres_baseline(gen_diagonal(20, 1.0, 2.0).matvec, b,
+                            config=SolverConfig(restart_len=5))
+        assert tr.converged and tr.restarts > 0
+        assert set(tr.block_size) == {1}
 
     def test_infinite_limits_mean_no_limit(self):
         cfg = SolverConfig(cond_limit=np.inf, growth_limit=np.inf)
