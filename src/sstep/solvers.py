@@ -392,7 +392,7 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
     if k < 1:
         raise ValueError("k must be positive")
     counter = counter if counter is not None else ReductionCounter()
-    cfg = SolverConfig(restart_len=k, initial_step=min(k, SolverConfig.initial_step))
+    cfg = SolverConfig(restart_len=k)
     # the step books mpk, ortho and fallback events; a counter of its own
     # keeps them out of the caller's solve phases
     own = ReductionCounter()
