@@ -12,7 +12,10 @@ The two projections are summed over tiles of the basis along its length,
 each tile about TILE_BYTES.  A narrow block against a tall basis is a
 product of shape (i x n)(n x s) with small s, which one BLAS call runs at
 about half of memory speed; a tile of the basis that stays in the L2 cache
-while the candidates stream past it reads the basis at memory speed.
+while the candidates stream past it reads the basis at memory speed.  The
+two updates that subtract the projections run over column tiles too, each
+tile's product about TILE_BYTES, so an update holds one tile of scratch
+memory instead of a copy of the whole candidate block.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from .dense import BreakdownError, PartialCholeskyResult, negligible, partial_ch
 # a candidate whose norm is above this, or not finite, ends its block's kept prefix
 OVERFLOW_LIMIT = 1e10 / math.sqrt(np.finfo(np.float64).eps)
 
-# bytes of basis per projection tile: a quarter of a 2 MB per-core L2
-# cache, so the tile stays cached while the candidates stream past it
+# bytes of basis per projection tile, and of product per update tile: a
+# quarter of a 2 MB per-core L2 cache, so the tile stays cached while the
+# candidates stream past it
 TILE_BYTES = 1 << 19
 
 
@@ -67,6 +71,19 @@ def project(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for lo in range(width, n, width):
         out += q[:, lo : lo + width] @ rows[:, lo : lo + width].T
     return out
+
+
+def subtract_projection(rows: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
+    """rows -= w.T @ q in place, over column tiles whose product is at most TILE_BYTES.
+
+    The tile is sized by the rows updated, not by the basis rows: right
+    after a restart the basis has one row, and a tile sized by it would
+    cover the whole length.
+    """
+    width = max(1, TILE_BYTES // (rows.itemsize * max(rows.shape[0], 1)))
+    for lo in range(0, rows.shape[1], width):
+        tile = rows[:, lo : lo + width]
+        np.subtract(tile, w.T @ q[:, lo : lo + width], out=tile)
 
 
 def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcome:
@@ -110,9 +127,9 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
     over = ~(before <= OVERFLOW_LIMIT)
     s = int(np.argmax(over)) if over.any() else len(over)
     v, before = v[:s], before[:s]
-    # updated in place: each pass's update is the one block-sized temporary
+    # updated in place: each pass's update holds one tile of scratch memory
     w = project(q, v)
-    np.subtract(v, w.T @ q, out=v)
+    subtract_projection(v, w, q)
 
     count("gram_products")
     g = v @ v.T
@@ -135,7 +152,7 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
 
     count("projections")
     w2 = project(q, q1)
-    np.subtract(q1, w2.T @ q, out=q1)
+    subtract_projection(q1, w2, q)
 
     count("gram_products")
     g2 = q1 @ q1.T

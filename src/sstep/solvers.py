@@ -4,8 +4,10 @@ Both run through one restart-cycle driver and differ only in the step
 that extends a cycle's basis: one modified Gram-Schmidt column for the
 baseline; for the adaptive solver a block (matrix powers, condition-limited
 block QR, Hessenberg assembly) that falls back to the same column step.  The
-Ritz harvest runs that block step on one cycle of monomial blocks; inside an
-adaptive solve that cycle is the solve's first, and its iterate is kept.
+Ritz harvest runs that block step on one cycle that widens itself: a
+monomial first block, then scaled Newton blocks on the cycle's own Ritz
+values, each asking twice the last kept width.  Inside an adaptive solve
+that cycle is the solve's first, and its iterate is kept.
 
 Both take the operator as a callable and the right-hand side of the system
 actually iterated on, i.e. preconditioning and scaling are folded in by the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .basis import RitzSet, build_change_of_basis, matrix_powers
+from .basis import RitzSet, build_change_of_basis, matrix_powers, newton_scalings
 from .blockqr import bcgs2_partial_cholqr, project
 from .dense import BreakdownError, GivensLs, hessenberg_eigenvalues, negligible
 from .estimator import estimate_initial_step
@@ -184,10 +186,12 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     and leaves its signal in cycle.signal, and the driver ends it like any
     other cycle, keeping its iterate.  The harvest cycle is not a restart,
     and it never ends the solve as a breakdown: the solve cycles follow it.
-    The trace takes step.s0_star.  An exhausted space, or a confirmation
-    that neither converges nor improves on the cycle start, ends the solve
-    as a breakdown when the width did not change during the cycle, since
-    the restarted cycle would repeat this one exactly.
+    The trace takes step.s0_star.  A confirmation that neither converges
+    nor improves on the cycle start ends the solve as a breakdown when the
+    space was exhausted or the width did not change during the cycle, since
+    the restarted cycle would repeat this one exactly.  A kept confirmation
+    starts a different cycle, so the solve restarts from it, exhausted
+    space or not.
     """
     b = _real_vector("b", b)
     op_res = _counted(op, counter, "residual")
@@ -244,7 +248,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
                 x, r, beta = x_new, r_new, beta_new
         if converged:
             break
-        if cycle >= 0 and (exhausted or (not kept and step.width == width)):
+        if cycle >= 0 and not kept and (exhausted or step.width == width):
             breakdown = True
             break
     residuals, loo, block_size, reductions_cum, spmv_cum = np.array(rows).reshape(-1, 5).T
@@ -318,12 +322,17 @@ class _BlockStep:
     """One adaptive block: matrix powers, condition-limited block QR, Hessenberg assembly.
 
     width is the adapted block size, capped by start at the step estimate;
-    it shrinks to the accepted width whenever the block QR keeps fewer
-    columns than the block asked for, whatever its stop reason.  Each
-    block appends its BlockRecord, tagged with phase, to the cycle's
-    blocks.  A block that yields no usable column falls back to one
-    modified Gram-Schmidt column.  harvests is True when the shifts or
-    the step estimate need a Ritz harvest that was not given.
+    in a solve it shrinks to the accepted width whenever the block QR keeps
+    fewer columns than the block asked for, whatever its stop reason.  In
+    the harvest it is twice the last accepted width, so the harvest widens
+    itself until the room left in its cycle or the condition limit cuts it.
+    A Newton-basis step given no shifts, the harvest's, takes them from its
+    own cycle: the Leja-ordered Ritz values of the cycle's Hessenberg matrix
+    so far.  Where the cycle has none that the scaled Newton basis can use,
+    the block is monomial.  Each block appends its BlockRecord, tagged with
+    phase, to the cycle's blocks.  A block that yields no usable column
+    falls back to one modified Gram-Schmidt column.  harvests is True when
+    the shifts or the step estimate need a Ritz harvest that was not given.
     """
 
     def __init__(self, op, counter: ReductionCounter, cfg: SolverConfig, ritz: RitzSet | None,
@@ -352,8 +361,12 @@ class _BlockStep:
         cfg, q, ls = self.cfg, cyc.q, cyc.ls
         i = ls.ncols + 1
         s_eff = min(self.width, cfg.restart_len - i + 1)
-        shifts = None if cfg.basis == "monomial" else self.ritz.cycled(s_eff)
-        cob = build_change_of_basis(cfg.basis, s_eff, shifts)
+        ritz = self.ritz
+        if ritz is None and cfg.basis != "monomial":
+            ritz = _leading_ritz(cyc.h, i - 1)
+        basis = "monomial" if ritz is None else cfg.basis
+        shifts = None if basis == "monomial" else ritz.cycled(s_eff)
+        cob = build_change_of_basis(basis, s_eff, shifts)
         # built in the basis rows it will occupy, which fit: s_eff <= m - i + 1
         blk = matrix_powers(self.op, q[i - 1 : i + s_eff], cob)
         try:
@@ -367,19 +380,38 @@ class _BlockStep:
         h_blk = assemble_hessenberg(outcome.r_hat, cob.dense(), cyc.h[:i, : i - 1])
         cyc.h[: i + p, i - 1 : i - 1 + p] = h_blk
         ests = ls.append(h_blk)
-        if p < s_eff:
+        if self.phase == "harvest":
+            self.width = 2 * p
+        elif p < s_eff:
             self.width = p
         return cyc.record(i, ests, p)
+
+
+def _leading_ritz(h: np.ndarray, k: int) -> RitzSet | None:
+    """The Ritz values of the leading k x k block of h, where a scaled Newton basis can use them.
+
+    None for k = 0, and when every value lies on its scaling floor
+    (newton_scalings), as a single value always does.
+    """
+    if k == 0:
+        return None
+    values = hessenberg_eigenvalues(h, k)
+    if not np.any(values) or newton_scalings(values)[3] == k:
+        return None
+    return RitzSet.from_values(values)
 
 
 def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None = None,
                  cycle: _Cycle | None = None) -> RitzSet:
     """Run k Arnoldi steps from rhs/||rhs|| and return the ordered Ritz values.
 
-    The Arnoldi process is the block solver's own step on one cycle of
-    monomial blocks, which it stops at k columns or at a Krylov space
-    exhausted at column j < k, and then returns the j values available.
-    All costs are attributed to the 'harvest' phase.
+    The Arnoldi process is the block solver's own step on one cycle of k
+    columns that widens itself: a monomial first block of SolverConfig's
+    default initial_step, then scaled Newton blocks on the cycle's own Ritz
+    values (Bai, Hu & Reichel, IMA J. Numer. Anal. 1994), each asking twice
+    the last kept width (Imberti & Erhel, ETNA 2017).  It stops at k columns
+    or at a Krylov space exhausted at column j < k, and then returns the j
+    values available.  All costs are attributed to the 'harvest' phase.
 
     cycle, given only by an adaptive solve, is the solve's first cycle,
     started from rhs, its first residual, by the driver, which also normed
@@ -392,7 +424,7 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
     if k < 1:
         raise ValueError("k must be positive")
     counter = counter if counter is not None else ReductionCounter()
-    cfg = SolverConfig(restart_len=k)
+    cfg = SolverConfig(basis="scaled-newton", restart_len=k)
     # the step books mpk, ortho and fallback events; a counter of its own
     # keeps them out of the caller's solve phases
     own = ReductionCounter()

@@ -1,5 +1,6 @@
 """Reorthogonalized block QR with condition-limited acceptance, on basis rows."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from sstep import (
     build_change_of_basis,
     matrix_powers,
 )
-from sstep.blockqr import OVERFLOW_LIMIT, project
+from sstep.blockqr import OVERFLOW_LIMIT, project, subtract_projection
 from sstep.dense import PartialCholeskyResult
 
 
@@ -227,6 +228,41 @@ class TestTiledProjections:
         # 6 columns and a ragged one of 4
         tiles_of(monkeypatch, 3, 6)
         getattr(TestIllConditioned(), stop)()
+
+
+class TestTiledUpdates:
+    @pytest.mark.parametrize("s,budget", [(5, 5 * 8 * 45), (5, 5 * 8 * 6), (5, 8), (1, 8 * 7),
+                                          (0, 8)])
+    def test_tiles_sum_to_the_single_update(self, monkeypatch, s, budget):
+        # one tile, ragged tiles of 6 and 7 columns, a budget below one row's
+        # tile (one column at a time), and no rows at all
+        rng = np.random.default_rng(53)
+        q = rng.standard_normal((4, 45))
+        w = rng.standard_normal((4, s))
+        rows = rng.standard_normal((s, 45))
+        want = rows - w.T @ q
+        monkeypatch.setattr(sstep.blockqr, "TILE_BYTES", budget)
+        subtract_projection(rows, w, q)
+        npt.assert_allclose(rows, want, rtol=0, atol=1e-13)
+        if budget >= 8 * max(s, 1) * 45:
+            npt.assert_array_equal(rows, want)
+
+    def test_update_holds_one_tile_of_scratch_memory(self):
+        # right after a restart the basis has one row, so a tile sized by the
+        # basis rows would cover the whole length and each update w.T @ q
+        # would build a copy of the candidate block; sized by the candidate
+        # rows, a tile is TILE_BYTES (512 KB) against the 32 MB block
+        rng = np.random.default_rng(54)
+        q = ortho_basis(rng, 40_000, 1)
+        v = rng.standard_normal((100, 40_000))
+        tracemalloc.start()
+        try:
+            out = bcgs2_partial_cholqr(q, v, 1e7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.p == 100
+        assert peak < v.nbytes / 2
 
 
 class TestOverflowStop:

@@ -16,6 +16,8 @@ def fingerprint(tmp_path):
     proc = subprocess.run([sys.executable, str(TOOL), str(ROOT)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    # no warning either: the fixed runs are clean
+    assert proc.stderr == ""
     return proc.stdout
 
 

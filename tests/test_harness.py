@@ -4,6 +4,7 @@ import json
 import math
 import platform
 import time
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -184,6 +185,20 @@ def small_manifest(**over):
 
 
 class TestRunExperiment:
+    def test_singular_harvest_stays_monomial_without_warning(self, tmp_path):
+        # the fingerprint's singular-scaled-newton run: the harvest's first
+        # block keeps one column of diag(0, 1), whose one Ritz value lies on
+        # its own scaling floor, so the next harvest block stays monomial
+        # instead of warning that all scale factors hit the floor
+        man = RunManifest(matrix="diag:2:0:1", basis="scaled-newton", initial_step=2,
+                          restart_len=8, max_restarts=5, rhs="random", seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run_experiment(man, str(tmp_path)).trace
+        assert [(blk.phase, blk.kept) for blk in tr.blocks[:2]] == [("harvest", 1),
+                                                                    ("harvest", 0)]
+        assert tr.breakdown and not tr.converged
+
     def test_files_written_and_readable(self, tmp_path):
         res = run_experiment(small_manifest(), str(tmp_path))
         assert res.csv_path.endswith("adaptive-monomial.csv")

@@ -365,6 +365,42 @@ def test_ortho_reductions_are_four_per_block_on_random_problems(seed, n, basis, 
     assert counter.phase_reductions("ortho") == 4 * len(tr.block_sizes) + 2 * sum(broken)
 
 
+@quiet_floored_scales
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 16), nulls=st.integers(0, 2),
+       basis=BASES, solver=st.sampled_from([adaptive_gmres, gmres_baseline]),
+       s=st.integers(1, 8), extra=st.integers(0, 16), digits=st.integers(11, 14))
+def test_a_breakdown_cannot_be_carried_on(seed, n, nulls, basis, solver, s, extra, digits):
+    # a solve ends as a breakdown only where restarting from its x would
+    # repeat its last cycle: a second solve from that x, with the same
+    # settings, does not reach the first solve's target either.  Spectra of
+    # n <= restart_len values exhaust the Krylov space, tolerances near
+    # roundoff leave such a cycle short of convergence, and zeroed values
+    # make the system singular and b inconsistent
+    d = np.linspace(0.1, 10.0, n)
+    d[:nulls] = 0.0
+    b = np.random.default_rng(seed).standard_normal(n)
+    cfg = SolverConfig(basis=basis, initial_step=s, restart_len=s + extra, max_restarts=3,
+                       rel_tol=10.0**-digits)
+    tr = solver(lambda v: d * v, b, config=cfg)
+    if tr.breakdown:
+        again = solver(lambda v: d * v, b, x0=tr.x, config=cfg)
+        assert np.linalg.norm(b - d * again.x) > cfg.rel_tol * np.linalg.norm(b)
+
+
+def test_exhausted_space_with_a_kept_confirmation_restarts():
+    # K_12 is all of R^12, and the exhausted cycle's least-squares solution
+    # lands at 1.65e-12, above the tolerance, but improves on b: the solve
+    # restarts from it and converges instead of ending as a breakdown
+    d = np.linspace(0.1, 10.0, 12)
+    b = np.random.default_rng(1).standard_normal(12)
+    cfg = SolverConfig(basis="monomial", initial_step=13, restart_len=22, max_restarts=3,
+                       rel_tol=1e-12)
+    tr = adaptive_gmres(lambda v: d * v, b, config=cfg)
+    assert tr.converged and not tr.breakdown and tr.restarts == 1
+    assert np.linalg.norm(b - d * tr.x) <= cfg.rel_tol * np.linalg.norm(b)
+
+
 # a tile budget of five doubles sums every projection over tiles of at most
 # five columns, so every block of the two properties above crosses tiles
 FIVE_COLUMN_TILES = 5 * 8
@@ -600,15 +636,19 @@ class TestEdgeBehavior:
         # K_3(A, b) is all of R^3, so the fourth column is dependent up to
         # roundoff; A is singular and the least-squares minimum over R^3 is
         # |b_1| / ||b|| = 1 / sqrt(3).  The adaptive solver's second block
-        # holds only candidates in span(Q), so it falls back and stops there too
+        # holds only candidates in span(Q), so it falls back and stops there
+        # too.  That minimum improves on b, so both solvers restart from it
+        # once; the restarted cycle, from a residual in the null space up to
+        # roundoff, improves on nothing and ends the solve as a breakdown
         a = SparseMatrix.from_dense(np.diag([0.0, 1.0, 2.0]))
         cfg = SolverConfig(basis="monomial", initial_step=2, restart_len=5)
         for solver in (adaptive_gmres, gmres_baseline):
             tr = solver(a.matvec, np.ones(3), config=cfg)
-            assert tr.breakdown and not tr.converged
+            assert tr.breakdown and not tr.converged and tr.restarts == 1
             assert tr.final_relative_residual == pytest.approx(1.0 / np.sqrt(3.0))
             if solver is adaptive_gmres:
-                assert tr.block_sizes == [2]
+                assert [(blk.kept, blk.stopped_by) for blk in tr.blocks[:2]] == [
+                    (2, "none"), (0, "breakdown")]
 
     def test_loo_is_nan_when_not_tracked(self):
         a, b = diag_problem(50, 2)
@@ -739,6 +779,27 @@ class TestRitzHarvest:
         assert counter.total_reductions() == counter.phase_reductions("harvest")
         assert counter.kind_total("spmv") == counter.get("spmv", "harvest")
 
+    def test_widening_saves_reductions(self):
+        # the monomial first block keeps 6 columns at the condition limit;
+        # the scaled Newton blocks on the harvest's own Ritz values keep
+        # twice as many each, until the last fills the 10 columns left.
+        # Five blocks of four reductions and the start vector's norm, where
+        # monomial blocks of at most 6 columns made 17 blocks, 69 reductions
+        a = gen_diagonal(10000, 0.1, 10.0)
+        b = unit_rhs(np.random.default_rng(0), a.n)
+        counter = ReductionCounter()
+        widths = []
+
+        def block_qr(q, v, *args, **kwargs):
+            out = bcgs2_partial_cholqr(q, v, *args, **kwargs)
+            widths.append((len(v), out.p))
+            return out
+
+        with mock.patch.object(sstep.solvers, "bcgs2_partial_cholqr", block_qr):
+            ritz_harvest(a.matvec, b, 100, counter)
+        assert widths == [(10, 6), (12, 12), (24, 24), (48, 48), (10, 10)]
+        assert counter.total_reductions() == 1 + 4 * 5
+
     def test_early_breakdown_returns_leading_values(self):
         a = SparseMatrix.from_dense(np.eye(5))
         rs = ritz_harvest(a.matvec, np.ones(5), 3)
@@ -806,6 +867,29 @@ class TestHarvestCycle:
         assert kept.restarts == thrown.restarts - 1
         assert kept.counter.kind_total("spmv") == counter.kind_total("spmv") - k
         assert kept.counter.get("spmv", "harvest") == counter.get("spmv", "harvest")
+
+    @pytest.mark.parametrize("n,rel_tol,kept", [(80, 1e-10, [10, 20, 40, 30]),
+                                                (30, 1e-15, [9, 18, 14, 16])])
+    def test_harvest_widens_itself(self, n, rel_tol, kept):
+        # ILU(0) Laplacians at initial_step = restart_len = 100.  After the
+        # monomial first block, each harvest block asks twice the last kept
+        # width, capped by the room left: on lap2d:80 the kept widths double
+        # until the room cuts the fourth to 30; on lap2d:30 the condition
+        # limit cuts the first, third and fourth, and each block after a cut
+        # doubles what was kept
+        a, m, op = ilu_lap2d(n)
+        b = m.solve(a.matvec(np.ones(a.n)))
+        cfg = SolverConfig(basis="scaled-newton", initial_step=100, restart_len=100,
+                           rel_tol=rel_tol)
+        tr = adaptive_gmres(op, b, config=cfg)
+        harvest = [blk for blk in tr.blocks if blk.phase == "harvest"]
+        assert [blk.kept for blk in harvest] == kept
+        room = 100 - np.cumsum([0] + kept[:-1])
+        assert [blk.asked for blk in harvest] == [10] + [
+            min(2 * p, left) for p, left in zip(kept, room[1:])]
+        for blk in harvest:
+            assert blk.stopped_by == ("none" if blk.kept == blk.asked else "condition")
+        assert tr.counter.phase_reductions("harvest") == 4 * len(harvest)
 
     def test_solve_blocks_tile_the_solve_cycles(self):
         # a 10-column harvest ahead of 30-column solve cycles: the harvest's
