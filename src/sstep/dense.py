@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dtrtrs
 
 
 class BreakdownError(RuntimeError):
@@ -160,6 +161,8 @@ def partial_cholesky(g, cond_limit: float) -> PartialCholeskyResult:
     if s == 0:
         raise ValueError("Gram matrix is empty")
     amax = float(np.max(np.abs(g)))
+    if not math.isfinite(amax):
+        raise ValueError("Gram matrix is not finite")
     if float(np.max(np.abs(g - g.T))) > 1e-8 * max(amax, np.finfo(np.float64).tiny):
         raise ValueError("Gram matrix is not symmetric to working accuracy")
 
@@ -171,7 +174,9 @@ def partial_cholesky(g, cond_limit: float) -> PartialCholeskyResult:
     first_pivot = 0.0
     for j in range(s):
         if j:
-            r[:j, j] = sla.solve_triangular(r[:j, :j], g[:j, j], trans="T", lower=False)
+            # R^T x = g as the lower triangular system solve_triangular passes
+            # LAPACK for a C-order R; R's diagonal is positive, so info is 0
+            r[:j, j] = dtrtrs(r[:j, :j].T, g[:j, j], lower=1)[0]
         col = r[:j, j]
         piv = float(g[j, j]) - float(col @ col)
         if j == 0:
@@ -250,15 +255,17 @@ class GivensLs:
         out = np.empty(p)
         for t in range(p):
             j = self.ncols
-            h = cols[: j + 2, t].copy()
-            for q in range(j):
+            # Python floats: the same roundings as numpy scalars, at a
+            # fraction of the cost per operation
+            h = cols[: j + 2, t].tolist()
+            for q, cs, sn in zip(range(j), self._cs[:j].tolist(), self._sn[:j].tolist()):
                 hq, hq1 = h[q], h[q + 1]
-                h[q] = self._cs[q] * hq + self._sn[q] * hq1
-                h[q + 1] = -self._sn[q] * hq + self._cs[q] * hq1
+                h[q] = cs * hq + sn * hq1
+                h[q + 1] = -sn * hq + cs * hq1
             a, b = h[j], h[j + 1]
             d = math.hypot(a, b)
             # the rotations keep the column's norm
-            if b == 0.0 and negligible(d, j + 1, math.sqrt(float(h @ h))):
+            if b == 0.0 and negligible(d, j + 1, math.sqrt(float(np.dot(h, h)))):
                 raise BreakdownError(f"column {j} is dependent: zero after rotations")
             cs, sn = a / d, b / d
             self._cs[j], self._sn[j] = cs, sn

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 
 from sstep import (
     BreakdownError,
@@ -141,6 +142,23 @@ class TestPartialCholesky:
         exact = [svd_condition(r[:j, :j]) for j in (1, 2, 3)]
         assert out.p == next(j for j, k in enumerate(exact) if k > 1e7)
 
+    def test_factor_is_bitwise_the_solve_triangular_loop(self):
+        rng = np.random.default_rng(13)
+        g = self.spd(rng, 12)
+        want = np.zeros((12, 12))
+        for j in range(12):
+            if j:
+                want[:j, j] = sla.solve_triangular(want[:j, :j], g[:j, j], trans="T", lower=False)
+            want[j, j] = math.sqrt(float(g[j, j]) - float(want[:j, j] @ want[:j, j]))
+        assert partial_cholesky(g, 1e12).r.tobytes() == want.tobytes()
+
+    def test_rejects_nonfinite(self):
+        for bad in (math.inf, math.nan):
+            g = np.eye(3)
+            g[2, 1] = g[1, 2] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                partial_cholesky(g, 1e7)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             partial_cholesky([[1.0, 2.0], [0.0, 1.0]], 1e7)
@@ -189,6 +207,31 @@ class TestGivensLs:
         npt.assert_array_equal(one._g, blk._g)
         npt.assert_array_equal(one.solve(), blk.solve())
         assert len(ests) == k
+
+    def test_rotations_are_bitwise_those_of_numpy_scalars(self):
+        rng = np.random.default_rng(25)
+        k, beta = 30, 1.7
+        h = random_hessenberg(rng, k)
+        ls = GivensLs(k, beta)
+        ests = ls.append(h)
+        # the same rotations in numpy float64 scalars, one column at a time
+        r, g = np.zeros((k + 1, k)), np.zeros(k + 1)
+        cs, sn, want = np.zeros(k), np.zeros(k), np.zeros(k)
+        g[0] = beta
+        for j in range(k):
+            col = h[: j + 2, j].copy()
+            for q in range(j):
+                hq, hq1 = col[q], col[q + 1]
+                col[q] = cs[q] * hq + sn[q] * hq1
+                col[q + 1] = -sn[q] * hq + cs[q] * hq1
+            d = math.hypot(col[j], col[j + 1])
+            cs[j], sn[j] = col[j] / d, col[j + 1] / d
+            r[:j, j], r[j, j] = col[:j], d
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            want[j] = abs(g[j + 1])
+        assert ls._r.tobytes() == r.tobytes()
+        assert ls._g.tobytes() == g.tobytes()
+        assert ests.tobytes() == want.tobytes()
 
     def test_truncated_solve_matches_shorter_problem(self):
         rng = np.random.default_rng(23)

@@ -98,6 +98,7 @@ ORACLE_CASES = {
     **{f"random-{seed}": random_pattern(seed, 60 + 20 * seed, 0.08) for seed in range(5)},
     "no-lower-rows": random_pattern(11, 150, 0.05, no_lower=0.3),
     "chain": chain(400),
+    "chain-4000": chain(4000),
     "lap2d-30": gen_laplace2d(30),
 }
 
@@ -183,17 +184,76 @@ def test_solve_matches_dense_triangular_oracle(a):
     npt.assert_allclose(fac.solve(r), want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("a", [gen_laplace2d(12), random_pattern(22, 200, 0.04, no_lower=0.1)],
-                         ids=["lap2d-12", "random-nonsymmetric"])
-def test_superlu_keeps_factors_unpermuted_without_fill(a):
+def column_substitution(l_factor, u_factor, r):
+    """L^{-1} then U^{-1} on r, one column at a time, in Python floats.
+
+    The forward sweep subtracts column j of L from the entries below it once
+    x_j is final; the backward sweep divides x_j by u_jj, then subtracts
+    column j of U from the entries above it.
+    """
+    lc, uc = l_factor.tocsc(), u_factor.tocsc()
+    x = r.tolist()
+    n = len(x)
+    for j in range(n):
+        for p in range(lc.indptr[j], lc.indptr[j + 1]):
+            if lc.indices[p] > j:
+                x[lc.indices[p]] -= x[j] * float(lc.data[p])
+    for j in reversed(range(n)):
+        col = range(uc.indptr[j], uc.indptr[j + 1])
+        x[j] /= next(float(uc.data[p]) for p in col if uc.indices[p] == j)
+        for p in col:
+            if uc.indices[p] < j:
+                x[uc.indices[p]] -= x[j] * float(uc.data[p])
+    return np.array(x)
+
+
+SOLVE_CASES = {
+    "lap2d-12": gen_laplace2d(12),
+    "random-nonsymmetric": random_pattern(22, 200, 0.04, no_lower=0.1),
+    "chain": chain(300),
+    "diagonal": SparseMatrix.from_dense(np.diag(np.linspace(0.5, 3.0, 20))),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_CASES)
+def test_triangles_are_stored_as_the_solve_reads_them(name):
+    a = SOLVE_CASES[name]
     fac = ilu0(a)
-    n = a.n
-    for lu, factor in ((fac.l_lu, fac.l_factor), (fac.u_lu, fac.u_factor)):
-        npt.assert_array_equal(lu.perm_r, np.arange(n))
-        npt.assert_array_equal(lu.perm_c, np.arange(n))
-        # the other triangle is the identity, so nothing was added
-        assert lu.L.nnz + lu.U.nnz == factor.nnz + n
-    assert fac.l_factor.nnz + fac.u_factor.nnz == a.nnz + n
+    lower, upper = fac.lower, fac.upper
+    assert lower.format == upper.format == "csc"
+    assert lower.nnz + upper.nnz == a.nnz
+    for t in (lower, upper):
+        assert t.indices.dtype == t.indptr.dtype == np.int32
+        cols = np.repeat(np.arange(a.n), np.diff(t.indptr))
+        # sorted within each column: strictly increasing unless a column starts
+        step = np.diff(t.indices) > 0
+        assert np.all(step | (np.diff(cols) > 0))
+    low_cols = np.repeat(np.arange(a.n), np.diff(lower.indptr))
+    assert np.all(lower.indices >= low_cols)
+    npt.assert_array_equal(lower.indices[lower.indptr[:-1]], np.arange(a.n))
+    assert np.all(upper.indices < np.repeat(np.arange(a.n), np.diff(upper.indptr)))
+    if name == "diagonal":
+        assert upper.nnz == 0
+
+
+@pytest.mark.parametrize("name", SOLVE_CASES)
+def test_solve_is_bitwise_the_column_substitution(name):
+    a = SOLVE_CASES[name]
+    want_l, want_u = reference_ilu0(a)
+    r = np.random.default_rng(5).standard_normal(a.n)
+    assert ilu0(a).solve(r).tobytes() == column_substitution(want_l, want_u, r).tobytes()
+
+
+def test_solve_leaves_its_argument_unchanged():
+    fac = ilu0(gen_laplace2d(6))
+    r = np.random.default_rng(6).standard_normal(36)
+    kept = r.copy()
+    x = fac.solve(r)
+    assert r.tobytes() == kept.tobytes()
+    assert not np.shares_memory(x, r)
+    # a strided view and a list are taken too
+    block = np.random.default_rng(7).standard_normal((36, 3))
+    assert fac.solve(block[:, 1]).tobytes() == fac.solve(block[:, 1].tolist()).tobytes()
 
 
 def test_l_unit_lower_u_upper():
@@ -211,8 +271,8 @@ def test_zero_pivot_raises():
 
 def test_overflowing_elimination_names_the_row():
     # l_10 = 1e10 / 1e-300 overflows and u_11 = 1 - l_10 * 1e10 with it: no
-    # pivot is zero, but the factors are not finite, and SuperLU would
-    # call them singular
+    # pivot is zero, but the factors are not finite, and every apply would
+    # return inf or nan
     a = SparseMatrix.from_dense([[1e-300, 1e10], [1e10, 1.0]])
     with pytest.raises(ZeroPivotError, match="^row 1: factor entry is not finite"):
         ilu0(a)
