@@ -31,30 +31,34 @@ def leja_order(values) -> np.ndarray:
     n = len(vals)
     if n == 0:
         raise ValueError("need at least one value")
-    re, im = vals.real, vals.imag
+    im = vals.imag
     cx = np.sort_complex(vals[im != 0.0])
     if len(cx) and not np.array_equal(cx, np.sort_complex(np.conj(cx))):
         raise ValueError("a complex value has no conjugate partner")
-    acc = np.zeros(n)
+    # the greedy loop runs on Python complex numbers and floats: numpy
+    # scalars cost several times more per operation
+    z = vals.tolist()
+    acc = [0.0] * n
     remaining = list(range(n))
     order = []
 
     def place(idx):
         order.append(idx)
         remaining.remove(idx)
+        zi = z[idx]
         for r in remaining:
-            d = abs(vals[r] - vals[idx])
+            d = abs(z[r] - zi)
             acc[r] = -math.inf if d == 0.0 else acc[r] + math.log(d)
 
     while remaining:
         if order:
-            best = max(remaining, key=lambda r: (acc[r], re[r], im[r]))
+            best = max(remaining, key=lambda r: (acc[r], z[r].real, z[r].imag))
         else:
-            best = max(remaining, key=lambda r: (abs(vals[r]), re[r], im[r]))
+            best = max(remaining, key=lambda r: (abs(z[r]), z[r].real, z[r].imag))
         place(best)
-        if im[best] != 0.0 and remaining:
-            partner = [r for r in remaining if vals[r] == np.conj(vals[best])]
-            place(partner[0])
+        if z[best].imag != 0.0 and remaining:
+            partner = z[best].conjugate()
+            place(next(r for r in remaining if z[r] == partner))
     return vals[np.asarray(order)]
 
 

@@ -12,10 +12,16 @@ The two projections are summed over tiles of the basis along its length,
 each tile about TILE_BYTES.  A narrow block against a tall basis is a
 product of shape (i x n)(n x s) with small s, which one BLAS call runs at
 about half of memory speed; a tile of the basis that stays in the L2 cache
-while the candidates stream past it reads the basis at memory speed.  The
-two updates that subtract the projections run over column tiles too, each
-tile's product about TILE_BYTES, so an update holds one tile of scratch
-memory instead of a copy of the whole candidate block.
+while the candidates stream past it reads the basis at memory speed.  Each
+of the two updates that subtract the projections is one GEMM that
+accumulates into the candidate rows in place, so it holds no scratch
+memory.  Each triangular solve X Z = V is a multiply by the p x p inverse
+Z^-1 (TRTRI, then TRMM in place): OpenBLAS runs a right-side TRSM on a
+tall n x p block two to three times slower than TRMM.  The factor's
+condition number is capped at cond_limit, and the second pass restores
+the orthogonality that the inverse's rounding costs, as it does for the
+solve's (Yamamoto et al., ETNA 2015; Du Croz & Higham, IMA J. Numer.
+Anal. 1992).
 """
 
 from __future__ import annotations
@@ -24,16 +30,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dgemm, dtrmm
+from scipy.linalg.lapack import dtrtri
 
 from .dense import BreakdownError, PartialCholeskyResult, negligible, partial_cholesky
 
 # a candidate whose norm is above this, or not finite, ends its block's kept prefix
 OVERFLOW_LIMIT = 1e10 / math.sqrt(np.finfo(np.float64).eps)
 
-# bytes of basis per projection tile, and of product per update tile: a
-# quarter of a 2 MB per-core L2 cache, so the tile stays cached while the
-# candidates stream past it
+# bytes of basis per projection tile: a quarter of a 2 MB per-core L2
+# cache, so the tile stays cached while the candidates stream past it
 TILE_BYTES = 1 << 19
 
 
@@ -74,16 +80,15 @@ def project(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def subtract_projection(rows: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
-    """rows -= w.T @ q in place, over column tiles whose product is at most TILE_BYTES.
+    """rows -= w.T @ q in place, as one GEMM that accumulates into rows.
 
-    The tile is sized by the rows updated, not by the basis rows: right
-    after a restart the basis has one row, and a tile sized by it would
-    cover the whole length.
+    rows must be C-contiguous: BLAS accumulates into its F-contiguous
+    transpose, and would update a copy of any other layout.  A C-contiguous
+    q is read through its transpose without a copy too.  Nothing is done
+    when q or rows has no rows.
     """
-    width = max(1, TILE_BYTES // (rows.itemsize * max(rows.shape[0], 1)))
-    for lo in range(0, rows.shape[1], width):
-        tile = rows[:, lo : lo + width]
-        np.subtract(tile, w.T @ q[:, lo : lo + width], out=tile)
+    if q.shape[0] and rows.shape[0]:
+        dgemm(-1.0, q.T, w, 1.0, rows.T, overwrite_c=True)
 
 
 def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcome:
@@ -127,7 +132,6 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
     over = ~(before <= OVERFLOW_LIMIT)
     s = int(np.argmax(over)) if over.any() else len(over)
     v, before = v[:s], before[:s]
-    # updated in place: each pass's update holds one tile of scratch memory
     w = project(q, v)
     subtract_projection(v, w, q)
 
@@ -146,9 +150,10 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
     if stopped_by == "none" and keep < len(over):
         stopped_by = "pivot" if keep < s else "overflow"
     z = pc1.r
-    # X Z = V for the rows, in place: the transpose of C-order rows is F-contiguous
+    # X Z = V for the rows, in place, as X = V Z^-1: the transpose of C-order
+    # rows is F-contiguous, and z (positive diagonal) is p x p
     q1 = v[:p]
-    dtrsm(1.0, z, q1.T, side=1, overwrite_b=True)
+    dtrmm(1.0, dtrtri(z)[0], q1.T, side=1, overwrite_b=True)
 
     count("projections")
     w2 = project(q, q1)
@@ -161,7 +166,7 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
         p, stopped_by = pc2.p, "second pass"
         z = np.ascontiguousarray(z[:p, :p])
     z2 = pc2.r[:p, :p]
-    dtrsm(1.0, z2, q1[:p].T, side=1, overwrite_b=True)
+    dtrmm(1.0, dtrtri(z2)[0], q1[:p].T, side=1, overwrite_b=True)
 
     r_hat = np.zeros((i + p, p + 1))
     if i:

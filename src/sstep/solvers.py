@@ -326,10 +326,11 @@ class _BlockStep:
     fewer columns than the block asked for, whatever its stop reason.  In
     the harvest it is twice the last accepted width, so the harvest widens
     itself until the room left in its cycle or the condition limit cuts it.
-    A Newton-basis step given no shifts, the harvest's, takes them from its
-    own cycle: the Leja-ordered Ritz values of the cycle's Hessenberg matrix
-    so far.  Where the cycle has none that the scaled Newton basis can use,
-    the block is monomial.  Each block appends its BlockRecord, tagged with
+    The harvest's step takes its shifts from its own cycle: the
+    Leja-ordered Ritz values of the cycle's Hessenberg matrix so far.  Where
+    the cycle has none that the scaled Newton basis can use, the block is
+    monomial, and so is every solve block when the harvested or given
+    shifts are not usable.  Each block appends its BlockRecord, tagged with
     phase, to the cycle's blocks.  A block that yields no usable column
     falls back to one modified Gram-Schmidt column.  harvests is True when
     the shifts or the step estimate need a Ritz harvest that was not given.
@@ -349,11 +350,18 @@ class _BlockStep:
         self.s0_star = None
 
     def start(self, r: np.ndarray, cyc: _Cycle) -> None:
-        """Harvest in the first cycle cyc, from its residual r, when needed; cap width at the step estimate."""
+        """Harvest in the first cycle cyc, from its residual r, when needed; cap width at the step estimate.
+
+        Shifts that a scaled Newton basis cannot use (_scalable) are
+        dropped: the solve blocks then run monomial, and no step estimate
+        is made.
+        """
         cfg = self.cfg
         if self.harvests:
             self.ritz = ritz_harvest(self.raw_op, r, cfg.initial_step, self.counter, cycle=cyc)
-        if cfg.use_step_estimator:
+        if self.ritz is not None and not _scalable(self.ritz.values):
+            self.ritz = None
+        if cfg.use_step_estimator and self.ritz is not None:
             self.s0_star = estimate_initial_step(self.ritz, cfg.growth_limit).s0_star
             self.width = min(self.width, self.s0_star)
 
@@ -361,9 +369,7 @@ class _BlockStep:
         cfg, q, ls = self.cfg, cyc.q, cyc.ls
         i = ls.ncols + 1
         s_eff = min(self.width, cfg.restart_len - i + 1)
-        ritz = self.ritz
-        if ritz is None and cfg.basis != "monomial":
-            ritz = _leading_ritz(cyc.h, i - 1)
+        ritz = _leading_ritz(cyc.h, i - 1) if self.phase == "harvest" else self.ritz
         basis = "monomial" if ritz is None else cfg.basis
         shifts = None if basis == "monomial" else ritz.cycled(s_eff)
         cob = build_change_of_basis(basis, s_eff, shifts)
@@ -387,18 +393,24 @@ class _BlockStep:
         return cyc.record(i, ests, p)
 
 
+def _scalable(values) -> bool:
+    """Whether a scaled Newton basis can use these shift values.
+
+    Not when every value is zero, or when every value lies on its scaling
+    floor (newton_scalings), as a single value always does.
+    """
+    return bool(np.any(values)) and newton_scalings(values)[3] < len(values)
+
+
 def _leading_ritz(h: np.ndarray, k: int) -> RitzSet | None:
     """The Ritz values of the leading k x k block of h, where a scaled Newton basis can use them.
 
-    None for k = 0, and when every value lies on its scaling floor
-    (newton_scalings), as a single value always does.
+    None for k = 0, and when the values are not _scalable.
     """
     if k == 0:
         return None
     values = hessenberg_eigenvalues(h, k)
-    if not np.any(values) or newton_scalings(values)[3] == k:
-        return None
-    return RitzSet.from_values(values)
+    return RitzSet.from_values(values) if _scalable(values) else None
 
 
 def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None = None,

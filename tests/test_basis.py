@@ -1,5 +1,7 @@
 """Shift ordering, recurrence coefficients, matrix-powers kernel."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -35,6 +37,47 @@ def greedy_product_order(values):
     return np.array([vals[q] for q in placed])
 
 
+def numpy_scalar_leja_order(values):
+    """The ordering loop as it ran on numpy scalars, kept as the reference for ties."""
+    vals = np.asarray(values, dtype=np.complex128).ravel()
+    n = len(vals)
+    re, im = vals.real, vals.imag
+    acc = np.zeros(n)
+    remaining = list(range(n))
+    order = []
+
+    def place(idx):
+        order.append(idx)
+        remaining.remove(idx)
+        for r in remaining:
+            d = abs(vals[r] - vals[idx])
+            acc[r] = -math.inf if d == 0.0 else acc[r] + math.log(d)
+
+    while remaining:
+        if order:
+            best = max(remaining, key=lambda r: (acc[r], re[r], im[r]))
+        else:
+            best = max(remaining, key=lambda r: (abs(vals[r]), re[r], im[r]))
+        place(best)
+        if im[best] != 0.0 and remaining:
+            partner = [r for r in remaining if vals[r] == np.conj(vals[best])]
+            place(partner[0])
+    return vals[np.asarray(order)]
+
+
+def random_shift_set(rng):
+    """Reals and conjugate pairs on a coarse grid, so ties and duplicates are common."""
+    grid = rng.integers(1, 6)
+    nreal, npairs = rng.integers(0, 30), rng.integers(0, 15)
+    reals = rng.integers(-grid, grid + 1, nreal) / grid
+    re = rng.integers(-grid, grid + 1, npairs) / grid
+    im = rng.integers(1, grid + 1, npairs) / grid
+    vals = np.concatenate([reals, re + 1j * im, re - 1j * im])
+    if len(vals) == 0:
+        vals = np.array([rng.standard_normal()])
+    return rng.permutation(vals)
+
+
 class TestLejaOrder:
     def test_integer_hand_case(self):
         # 5 first (largest), then 1 (distance 4), then 3 (product 4),
@@ -46,6 +89,14 @@ class TestLejaOrder:
         for _ in range(20):
             vals = rng.uniform(-5, 5, 12)
             npt.assert_array_equal(leja_order(vals), greedy_product_order(vals))
+
+    def test_same_order_as_the_numpy_scalar_loop(self):
+        # 300 seeded sets with ties, duplicates and conjugate pairs: the
+        # loop on Python scalars picks the same value at every position
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            vals = random_shift_set(rng)
+            npt.assert_array_equal(leja_order(vals), numpy_scalar_leja_order(vals))
 
     def test_magnitude_tie_takes_larger_real(self):
         npt.assert_array_equal(leja_order([-2.0, 2.0]), [2.0, -2.0])

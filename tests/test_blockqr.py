@@ -103,6 +103,42 @@ class TestIllConditioned:
         ext = np.vstack([q, v[: out.p]])
         npt.assert_allclose(ext @ ext.T, np.eye(i + out.p), atol=1e-13)
 
+    def test_inverse_factor_near_the_limit(self, monkeypatch):
+        # cond(Z) = cond(V) near 8e6, under the 1e7 limit: the first pass's
+        # multiply by Z^-1 agrees with a triangular solve to cond(Z) * eps,
+        # and the second pass leaves the rows orthonormal to 1e-14
+        rng = np.random.default_rng(2)
+        n, i, s = 200, 6, 8
+        q = ortho_basis(rng, n, i)
+        u = np.linalg.qr(rng.standard_normal((n, s)))[0]
+        w = np.linalg.qr(rng.standard_normal((s, s)))[0]
+        v = np.ascontiguousarray(((u * np.logspace(0.0, -6.9, s)) @ w.T).T)
+        factors, solves = [], []
+        invert, multiply = sstep.blockqr.dtrtri, sstep.blockqr.dtrmm
+
+        def spy_invert(z, **kwargs):
+            factors.append(np.array(z))
+            return invert(z, **kwargs)
+
+        def spy_multiply(alpha, a, b, **kwargs):
+            before = b.copy()
+            solves.append((before, multiply(alpha, a, b, **kwargs).copy()))
+            return b
+
+        monkeypatch.setattr(sstep.blockqr, "dtrtri", spy_invert)
+        monkeypatch.setattr(sstep.blockqr, "dtrmm", spy_multiply)
+        out = bcgs2_partial_cholqr(q, v, 1e7)
+        assert (out.p, out.stopped_by) == (s, "none")
+        z = factors[0]
+        cond = np.linalg.cond(z)
+        assert 5e6 < cond < 1e7
+        before, got = solves[0]
+        want = sla.blas.dtrsm(1.0, z, before, side=1)
+        err = np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
+        assert err <= cond * np.finfo(float).eps
+        npt.assert_allclose(v @ v.T, np.eye(s), rtol=0, atol=1e-14)
+        npt.assert_allclose(q @ v.T, np.zeros((i, s)), rtol=0, atol=1e-14)
+
     def test_condition_stop_is_visible_in_trace(self):
         rng = np.random.default_rng(47)
         n = 50
@@ -230,22 +266,37 @@ class TestTiledProjections:
         getattr(TestIllConditioned(), stop)()
 
 
-class TestTiledUpdates:
-    @pytest.mark.parametrize("s,budget", [(5, 5 * 8 * 45), (5, 5 * 8 * 6), (5, 8), (1, 8 * 7),
-                                          (0, 8)])
-    def test_tiles_sum_to_the_single_update(self, monkeypatch, s, budget):
-        # one tile, ragged tiles of 6 and 7 columns, a budget below one row's
-        # tile (one column at a time), and no rows at all
+class TestInPlaceUpdates:
+    def test_update_accumulates_into_the_rows(self, monkeypatch):
+        # one GEMM whose output is the candidate rows themselves
         rng = np.random.default_rng(53)
-        q = rng.standard_normal((4, 45))
-        w = rng.standard_normal((4, s))
-        rows = rng.standard_normal((s, 45))
+        q = ortho_basis(rng, 45, 4)
+        w = rng.standard_normal((4, 5))
+        rows = rng.standard_normal((5, 45))
         want = rows - w.T @ q
-        monkeypatch.setattr(sstep.blockqr, "TILE_BYTES", budget)
+        outputs, gemm = [], sstep.blockqr.dgemm
+
+        def spy(*args, **kwargs):
+            out = gemm(*args, **kwargs)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(sstep.blockqr, "dgemm", spy)
         subtract_projection(rows, w, q)
+        assert len(outputs) == 1 and np.shares_memory(outputs[0], rows)
         npt.assert_allclose(rows, want, rtol=0, atol=1e-13)
-        if budget >= 8 * max(s, 1) * 45:
-            npt.assert_array_equal(rows, want)
+
+    @pytest.mark.parametrize("i,s", [(0, 5), (4, 0), (0, 0)])
+    def test_no_basis_or_no_rows_is_a_no_op(self, monkeypatch, i, s):
+        # i = 0 right at the start of a cycle, and no rows where an overflow
+        # stop dropped the whole block; BLAS is not called for either
+        monkeypatch.setattr(sstep.blockqr, "dgemm", None)
+        rng = np.random.default_rng(56)
+        q = rng.standard_normal((i, 45))
+        rows = rng.standard_normal((s, 45))
+        before = rows.copy()
+        subtract_projection(rows, rng.standard_normal((i, s)), q)
+        npt.assert_array_equal(rows, before)
 
     def test_update_holds_one_tile_of_scratch_memory(self):
         # right after a restart the basis has one row, so a tile sized by the
@@ -325,14 +376,14 @@ class TestOverflowStop:
         rows[:i], rows[i:] = ortho_basis(rng, n, i), rng.standard_normal((s, n))
         q, v = rows[:i], rows[i:]
         cand = v.copy()
-        in_place, solve = [], sstep.blockqr.dtrsm
+        in_place, multiply = [], sstep.blockqr.dtrmm
 
         def spy(alpha, a, b, **kwargs):
-            x = solve(alpha, a, b, **kwargs)
+            x = multiply(alpha, a, b, **kwargs)
             in_place.append(np.shares_memory(x, b))
             return x
 
-        monkeypatch.setattr(sstep.blockqr, "dtrsm", spy)
+        monkeypatch.setattr(sstep.blockqr, "dtrmm", spy)
         out = bcgs2_partial_cholqr(q, v, 1e7)
         assert out.p == s
         assert in_place == [True] * 2

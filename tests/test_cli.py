@@ -134,6 +134,21 @@ class TestExitCodes:
         assert code == 2
         assert "broke down" in out
 
+    @pytest.mark.parametrize("flags", [["--basis", "scaled-newton"],
+                                       ["--basis", "monomial", "--estimator", "on"]],
+                             ids=["scaled-newton", "estimator"])
+    def test_zero_ritz_values_are_a_breakdown_not_an_error(self, tmp_path, capsys, flags):
+        # A = [[0, 1], [0, 0]] with b = A @ ones: the harvest's only Ritz
+        # value is 0, so the solve runs monomial, and its exhausted space
+        # is a breakdown
+        path = tmp_path / "nilpotent.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 2\n1 2 1.0\n2 2 0.0\n")
+        code, out, err = run_cli(capsys, "--matrix", str(path), *flags, "--s0", "2",
+                                 "--restart", "4", "--out", str(tmp_path))
+        assert (code, err) == (2, "")
+        assert "broke down" in out
+
     def test_zero_rhs_with_newton_basis_is_zero(self, tmp_path, capsys):
         # b = A @ ones is zero, so there is nothing to solve and no shifts to harvest
         code, out, err = run_cli(
