@@ -193,15 +193,19 @@ def matrix_powers(op, rows: np.ndarray, cob: ChangeOfBasis) -> KrylovBlock:
     passes the basis rows the block will occupy.  op is the operator as a
     callable (preconditioning folded in by the caller).  No norm is taken
     and an overflowing block warns nowhere: the block QR drops what overflowed.
+    The shift and coupling products of every step go through one scratch row.
     """
     s = cob.s
     if rows.ndim != 2 or rows.shape[0] != s + 1:
         raise ValueError(f"rows must hold the seed and {s} vectors, got shape {rows.shape}")
+    tmp = np.empty_like(rows[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(s):
             prev, w = rows[k], rows[k + 1]
-            np.subtract(op(prev), cob.shift[k] * prev, out=w)
+            np.multiply(prev, cob.shift[k], out=tmp)
+            np.subtract(op(prev), tmp, out=w)
             if cob.coupling[k] != 0.0:
-                w += cob.coupling[k] * rows[k - 1]
+                np.multiply(rows[k - 1], cob.coupling[k], out=tmp)
+                w += tmp
             w /= cob.scale[k]
     return KrylovBlock(rows[1:], s)

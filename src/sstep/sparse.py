@@ -135,13 +135,15 @@ def _fail(lineno: int, msg: str):
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
-def _read_entries(body: list, n: int, nnz: int, symmetric: bool):
+def _read_entries(body, n: int, nnz: int, symmetric: bool):
     """The entry lines as 0-based (rows, cols, vals), read by one np.loadtxt call.
 
-    Returns None when the read fails or any entry breaks a rule: the count,
-    an index outside 1..n, a non-finite value, or an entry above the
-    diagonal of a symmetric file.  The caller then reads line by line to
-    name the offending line.
+    body is the open file, positioned after the size line, or a list of
+    lines.  The indices are shifted in place, so the three arrays are views
+    of the one record array.  Returns None when the read fails or any entry
+    breaks a rule: the count, an index outside 1..n, a non-finite value, or
+    an entry above the diagonal of a symmetric file.  The caller then reads
+    line by line to name the offending line.
     """
     try:
         with warnings.catch_warnings():  # an empty body warns; its count check fails
@@ -154,7 +156,9 @@ def _read_entries(body: list, n: int, nnz: int, symmetric: bool):
             or min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > n
             or (symmetric and (j > i).any())):
         return None
-    return i - 1, j - 1, v
+    i -= 1
+    j -= 1
+    return i, j, v
 
 
 def parse_matrix_market(path) -> SparseMatrix:
@@ -165,14 +169,37 @@ def parse_matrix_market(path) -> SparseMatrix:
     entries are summed.  Malformed input raises ValueError naming the
     offending line number, and so does a size line with fewer entries than
     it takes to give every row one (a row with no entry makes the matrix
-    singular).  The entry lines are read in one vectorized pass; only a
-    file that breaks a rule is read again line by line, to find the line.
+    singular).  Lines end at LF, CR or CR LF; any other whitespace
+    separates fields.  The entry lines are streamed from the file by one
+    vectorized read; only a file that breaks a rule is read again line by
+    line, to find the line.
     """
     with open(path, "r", encoding="ascii", errors="replace") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ValueError("line 1: empty file")
-    header = lines[0].split()
+        n, nnz, symmetric, k = _read_size(f)
+        entries = _read_entries(f, n, nnz, symmetric)
+        if entries is None:
+            f.seek(0)
+            entries = _read_entries_by_line(f.readlines(), k, n, nnz, symmetric)
+    rows, cols, vals = entries
+    if symmetric:
+        off = rows != cols
+        mirror_r, mirror_c, mirror_v = cols[off], rows[off], vals[off]
+        rows = np.concatenate([rows, mirror_r])
+        cols = np.concatenate([cols, mirror_c])
+        vals = np.concatenate([vals, mirror_v])
+    return SparseMatrix.from_coo(n, rows, cols, vals)
+
+
+def _read_size(f):
+    """Read the header, comments and size line of the open file f.
+
+    Returns (n, nnz, symmetric, k), with the size line at line k and f
+    positioned after it.
+    """
+    line = f.readline()
+    if not line:
+        _fail(1, "empty file")
+    header = line.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
         _fail(1, "expected header '%%MatrixMarket matrix coordinate <field> <symmetry>'")
     _, obj, fmt, fieldkind, sym = (w.lower() for w in header)
@@ -185,37 +212,29 @@ def parse_matrix_market(path) -> SparseMatrix:
     if sym not in ("general", "symmetric"):
         _fail(1, f"unsupported symmetry '{sym}' (only general or symmetric)")
 
-    k = 1
-    while k < len(lines) and (lines[k].startswith("%") or not lines[k].strip()):
+    k = 1  # lines read so far
+    while True:
+        line = f.readline()
+        if not line:
+            _fail(k, "missing size line")
         k += 1
-    if k == len(lines):
-        _fail(len(lines), "missing size line")
-    size = lines[k].split()
+        if line.strip() and not line.startswith("%"):
+            break
+    size = line.split()
     if len(size) != 3:
-        _fail(k + 1, "size line must be 'rows cols nnz'")
+        _fail(k, "size line must be 'rows cols nnz'")
     try:
         nrows, ncols, nnz = (int(w) for w in size)
     except ValueError:
-        _fail(k + 1, "size line entries must be integers")
+        _fail(k, "size line entries must be integers")
     if nrows != ncols:
-        _fail(k + 1, f"matrix must be square, got {nrows} x {ncols}")
+        _fail(k, f"matrix must be square, got {nrows} x {ncols}")
     if nrows <= 0 or nnz < 0:
-        _fail(k + 1, "dimensions must be positive")
+        _fail(k, "dimensions must be positive")
     # a stored entry fills one row, or two when it mirrors across the diagonal
     if nrows > (2 * nnz if sym == "symmetric" else nnz):
-        _fail(k + 1, f"{nnz} {sym} entries cannot give each of {nrows} rows an entry")
-
-    entries = _read_entries(lines[k + 1 :], nrows, nnz, sym == "symmetric")
-    if entries is None:
-        entries = _read_entries_by_line(lines, k + 1, nrows, nnz, sym == "symmetric")
-    rows, cols, vals = entries
-    if sym == "symmetric":
-        off = rows != cols
-        mirror_r, mirror_c, mirror_v = cols[off], rows[off], vals[off]
-        rows = np.concatenate([rows, mirror_r])
-        cols = np.concatenate([cols, mirror_c])
-        vals = np.concatenate([vals, mirror_v])
-    return SparseMatrix.from_coo(nrows, rows, cols, vals)
+        _fail(k, f"{nnz} {sym} entries cannot give each of {nrows} rows an entry")
+    return nrows, nnz, sym == "symmetric", k
 
 
 def _read_entries_by_line(lines: list, start: int, n: int, nnz: int, symmetric: bool):

@@ -9,8 +9,10 @@ with those hooks, the way perfbench/run.py does, and checks each fired.
 import types
 from pathlib import Path
 
+import numpy as np
+
 import sstep.solvers
-from sstep import RunManifest, run_experiment
+from sstep import RunManifest, gen_laplace2d, run_experiment
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -42,3 +44,24 @@ def test_probe_and_tracer_see_a_scaled_newton_solve(tmp_path):
     assert blocks and tracer.accepted > 0
     assert tracer.generated == sum(blk.asked for blk in blocks)
     assert tracer.accepted == sum(blk.kept for blk in blocks)
+
+
+def test_tracer_sees_the_matrix_market_parse(tmp_path):
+    # the benchmark's sparse.parse_s hook wraps the parser the harness calls
+    tracing = load_tracing()
+    a = gen_laplace2d(4)
+    rows = np.repeat(np.arange(a.n), np.diff(a.indptr))
+    path = tmp_path / "lap2d4.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{a.n} {a.n} {a.nnz}\n"
+                    + "".join(f"{i + 1} {j + 1} {float(v)!r}\n"
+                              for i, j, v in zip(rows, a.indices, a.data)))
+    probe, tracer = tracing.Probe(), tracing.Tracer()
+    manifest = RunManifest(matrix=str(path), basis="newton", initial_step=4, restart_len=16,
+                           rhs="random", seed=1)
+    with tracing.patched(probe.patches()):
+        with tracing.patched(tracer.patches()):
+            result = run_experiment(manifest, str(tmp_path))
+    assert result.summary["result"]["converged"]
+    assert probe.enter is not None
+    assert tracer.calls["sparse.parse"] == 1
+    assert tracer.metrics()["sparse.parse_s"] > 0.0

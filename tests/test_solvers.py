@@ -1,5 +1,6 @@
 """Both solver drivers: correctness, adaptation, accounting, edge behavior."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -400,6 +401,94 @@ def test_exhausted_space_with_a_kept_confirmation_restarts():
     tr = adaptive_gmres(lambda v: d * v, b, config=cfg)
     assert tr.converged and not tr.breakdown and tr.restarts == 1
     assert np.linalg.norm(b - d * tr.x) <= cfg.rel_tol * np.linalg.norm(b)
+
+
+def sweep_matrix(kind, rng, n):
+    """A small dense matrix of one of the sweep's kinds."""
+    if kind == "dense":
+        return rng.standard_normal((n, n))
+    if kind == "dominant":  # sparse, with a diagonal that dominates its rows
+        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        np.fill_diagonal(a, 0.0)
+        return a + np.diag(np.abs(a).sum(axis=1) + rng.uniform(0.5, 2.0, n))
+    if kind == "singular":
+        d = rng.uniform(0.1, 10.0, n)
+        d[rng.random(n) < 0.3] = 0.0
+        return np.diag(d)
+    if kind == "nilpotent":
+        return np.triu(rng.standard_normal((n, n)), 1)
+    if kind == "low-rank":
+        r = int(rng.integers(1, max(2, n // 2)))
+        return rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+    # clustered: eigenvalues in a few tight clusters, behind a random similarity
+    centers = rng.uniform(-3.0, 3.0, int(rng.integers(1, 4)))
+    d = rng.choice(centers, n) + 1e-6 * rng.standard_normal(n)
+    s = rng.standard_normal((n, n)) + n * np.eye(n)
+    return s @ np.diag(d) @ np.linalg.inv(s)
+
+
+SWEEP_KINDS = ("dense", "dominant", "singular", "nilpotent", "low-rank", "clustered")
+
+
+def sweep_case(seed):
+    """One seeded problem of the sweep: (label, op, b, x0, config)."""
+    rng = np.random.default_rng(seed)
+    kind = SWEEP_KINDS[seed % len(SWEEP_KINDS)]
+    n = int(rng.integers(2, 25))
+    a = SparseMatrix.from_dense(sweep_matrix(kind, rng, n))
+    op, b = a.matvec, rng.standard_normal(n)
+    if kind == "nilpotent" and rng.random() < 0.5:
+        b = a.matvec(np.ones(n))  # may be zero
+    if kind == "dominant" and rng.random() < 0.5:
+        m = ilu0(a)
+        op, b, kind = (lambda v: m.solve(a.matvec(v))), m.solve(b), "dominant-ilu0"
+    x0 = (None, np.zeros(n), rng.standard_normal(n))[int(rng.integers(0, 3))]
+    restart = int(rng.integers(1, 21))
+    cfg = SolverConfig(basis=str(rng.choice(["monomial", "newton", "scaled-newton"])),
+                       initial_step=int(rng.integers(1, restart + 1)), restart_len=restart,
+                       max_restarts=int(rng.integers(0, 5)),
+                       rel_tol=float(10.0 ** -rng.uniform(4.0, 14.0)),
+                       cond_limit=float(rng.choice([1e3, 1e7, 1e12, np.inf])),
+                       use_step_estimator=bool(rng.random() < 0.5))
+    return f"seed {seed}: {kind} n={n} {cfg}", op, b, x0, cfg
+
+
+def assert_sweep_invariants(label, solver, op, b, x0, cfg):
+    tr = solver(op, b, x0=x0, config=cfg)  # valid input raises nothing
+    r0 = b if x0 is None else b - op(x0)
+    assert tr.beta0 == np.linalg.norm(r0), label
+    want = np.linalg.norm(b - op(tr.x)) / tr.beta0 if tr.beta0 > 0.0 else 0.0
+    assert tr.final_relative_residual == want, label
+    assert not (tr.converged and tr.breakdown), label
+    if tr.converged:
+        assert tr.final_relative_residual <= 10.0 * cfg.rel_tol, label
+    assert tr.restarts <= cfg.max_restarts, label
+    if solver is adaptive_gmres:
+        solve = [blk for blk in tr.blocks if blk.phase == "solve"]
+        broken = sum(blk.stopped_by == "breakdown" for blk in solve)
+        assert tr.counter.phase_reductions("ortho") == 4 * (len(solve) - broken) + 2 * broken, label
+
+
+def zero_ritz_cases():
+    # A = [[0, 1], [0, 0]] with b = A @ ones (seed 5933 of a wider sweep):
+    # its harvest gives only the Ritz value 0, which once made the first
+    # solve block or the step estimate raise "all shift values are zero"
+    a = SparseMatrix.from_coo(2, [0], [1], [1.0])
+    for basis, estimator in (("scaled-newton", False), ("monomial", True)):
+        cfg = SolverConfig(basis=basis, initial_step=2, restart_len=4,
+                           use_step_estimator=estimator)
+        yield f"nilpotent {cfg}", a.matvec, a.matvec(np.ones(2)), None, cfg
+
+
+@quiet_floored_scales
+def test_seeded_sweep_of_small_problems_keeps_the_solver_invariants():
+    # dense, diagonally dominant (with and without ILU(0)), singular,
+    # nilpotent, low-rank and clustered systems under random settings,
+    # through both solvers
+    cases = itertools.chain(map(sweep_case, range(300)), zero_ritz_cases())
+    for label, op, b, x0, cfg in cases:
+        for solver in (gmres_baseline, adaptive_gmres):
+            assert_sweep_invariants(f"{solver.__name__} {label}", solver, op, b, x0, cfg)
 
 
 # a tile budget of five doubles sums every projection over tiles of at most

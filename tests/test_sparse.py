@@ -1,5 +1,12 @@
 """Sparse storage, file parsing, problem generators, equilibration."""
 
+import os
+import runpy
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +21,8 @@ from sstep import (
     gen_laplace3d,
     parse_matrix_market,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def dense_from_triplets(n, rows, cols, vals):
@@ -157,8 +166,9 @@ class TestGenerators:
 
 class TestMatrixMarket:
     def write(self, tmp_path, text):
+        # as bytes: write_text would turn "\n" into the platform's line end
         p = tmp_path / "m.mtx"
-        p.write_text(text)
+        p.write_bytes(text.encode("ascii"))
         return p
 
     def test_general_with_duplicates(self, tmp_path):
@@ -250,6 +260,81 @@ class TestMatrixMarket:
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValueError, match="line 1"):
             parse_matrix_market(self.write(tmp_path, ""))
+
+    ENTRIES = ["1 1 2.5", "3 1 -1e-300", "2 3 7", "1 1 0.125", "3 3 1.7976931348623157e308"]
+
+    @pytest.mark.parametrize("body", [
+        "\r\n".join(ENTRIES) + "\r\n",
+        "\r".join(ENTRIES) + "\r",
+        "\n".join(ENTRIES),  # no final newline
+        "\n".join("\t".join(e.split()) for e in ENTRIES) + "\n",
+        "\n".join(e + " \t " for e in ENTRIES) + "\n  \n",
+    ], ids=["crlf", "cr", "no-final-newline", "tabs", "trailing-blanks"])
+    def test_line_ends_and_blanks_are_read_on_the_fast_path(self, tmp_path, monkeypatch, body):
+        head = "%%MatrixMarket matrix coordinate real general\n3 3 5\n"
+        ref = SparseMatrix.from_coo(3, *sstep.sparse._read_entries_by_line(
+            ["", ""] + self.ENTRIES, 2, 3, 5, False))
+
+        def refuse(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(sstep.sparse, "_read_entries_by_line", refuse)
+        a = parse_matrix_market(self.write(tmp_path, head + body))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(ref, name))
+
+    def test_form_feed_and_vertical_tab_separate_fields(self, tmp_path):
+        # lines end only at LF, CR and CR LF; str.splitlines also ends them
+        # at a form feed or vertical tab, and the reader once refused these
+        head = "%%MatrixMarket matrix coordinate real general\n% a\fcomment\n2 2 2\n"
+        p = self.write(tmp_path, head + "1 1\f2.0\n2\v2 3.0\n")
+        npt.assert_array_equal(parse_matrix_market(p).to_dense(), [[2.0, 0], [0, 3.0]])
+        # the line-by-line read that names a bad line counts lines the same way
+        p = self.write(tmp_path, head + "1 1\f2.0\n2 2 nan\n")
+        with pytest.raises(ValueError, match="line 5: non-finite"):
+            parse_matrix_market(p)
+
+    def test_parse_peak_memory_is_at_most_five_times_the_matrix(self, tmp_path):
+        # the entries stream from the file into one record array: no copy of
+        # the text and no string per line is held
+        a = gen_laplace2d(110)
+        rows = np.repeat(np.arange(a.n), np.diff(a.indptr))
+        p = tmp_path / "m.mtx"
+        with open(p, "w", encoding="ascii") as f:
+            f.write(f"%%MatrixMarket matrix coordinate real general\n{a.n} {a.n} {a.nnz}\n")
+            np.savetxt(f, np.column_stack([rows + 1, a.indices + 1, a.data * np.pi]),
+                       fmt="%d %d %.17g")
+        assert a.nnz >= 50_000
+        tracemalloc.start()
+        try:
+            m = parse_matrix_market(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        npt.assert_array_equal(m.indices, a.indices)
+        assert peak <= 5 * (m.indptr.nbytes + m.indices.nbytes + m.data.nbytes)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_reading_798400_entries_raises_rss_by_at_most_45_mb(self, tmp_path):
+        # the benchmark's convection-diffusion matrix on a 400 x 400 grid, an
+        # 18 MB file, read in a fresh process so nothing else sets its peak.
+        # VmHWM is the process's own high-water mark; ru_maxrss would start
+        # from that of the forking test process
+        workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+        path = tmp_path / "convdiff400.mtx"
+        workloads["write_matrix_market"](workloads["reference_matrix"]("convdiff", 400), path)
+        code = ("import sys, sstep\n"
+                "def hwm():\n"
+                "    with open('/proc/self/status') as f:\n"
+                "        return next(int(x.split()[1]) for x in f if x.startswith('VmHWM:'))\n"
+                "before = hwm()\n"
+                "a = sstep.parse_matrix_market(sys.argv[1])\n"
+                "print(a.nnz, (hwm() - before) / 1024)\n")  # VmHWM is in KiB
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert int(out[0]) == 798_400
+        assert float(out[1]) <= 45.0
 
 
 class TestEquilibration:
