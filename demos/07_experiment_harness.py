@@ -1,8 +1,9 @@
 """Run manifests, write traces, and compare two solvers on the same problem.
 
 Every run produces a per-iteration CSV (byte-identical across reruns) and
-a JSON sidecar with the problem echo, settings, outcome, and the full
-reduction-counter table.  The same runs are available from the shell:
+a JSON sidecar with the problem echo, settings, outcome, the full
+reduction-counter table, and the wall time of each counter phase.  The
+same runs are available from the shell:
 
     sstep --matrix lap2d:32 --solver adaptive --s0 10 --restart 100 --out runs
     sstep --matrix lap2d:32 --solver gmres --restart 100 --out runs
@@ -11,6 +12,7 @@ reduction-counter table.  The same runs are available from the shell:
 import tempfile
 
 from sstep import RunManifest, compare_runs, load_run, run_experiment
+from sstep.harness import PHASES, REDUCTION_KINDS
 
 out = tempfile.mkdtemp(prefix="sstep-demo-")
 
@@ -24,6 +26,14 @@ for r in (block, base):
     print(f"{r.summary['solver']['kind']:>8}: {res['iterations']} iterations, "
           f"final residual {res['final_relative_residual']:.2e}")
     print(f"          wrote {r.csv_path}")
+
+print("\nper phase: reductions and seconds (from each sidecar)")
+for r in (block, base):
+    side = load_run(r).meta
+    print(f"  {side['solver']['kind']}:")
+    for ph in PHASES:
+        red = sum(side["counters"][ph][kind] for kind in REDUCTION_KINDS)
+        print(f"    {ph:>8} {red:>6} reductions {side['timings'][ph]:9.4f} s")
 
 data = load_run(block)
 print("\nfirst rows of the block-solver trace:")

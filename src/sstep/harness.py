@@ -2,9 +2,10 @@
 
 A run writes two files with a common stem: a per-iteration CSV whose
 header is ``CSV_HEADER`` and a JSON sidecar holding the problem echo,
-solver settings, outcome, and counters.  CSV contents are byte-identical
-across reruns of the same manifest; the sidecar is not, because it
-records wall time.
+solver settings, outcome, counters, and seconds per counter phase under
+``timings``.  CSV contents and counters are byte-identical across reruns
+of the same manifest; the sidecar is not, because it records wall time.
+``ReductionCounter`` says what lies in no phase.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import numbers
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -56,21 +58,50 @@ def _release_freed_memory() -> None:
 
 
 class ReductionCounter:
-    """Tallies global reduction events and operator applications by phase.
+    """Tallies global reduction events and operator applications by phase, and times the phases.
 
     Kinds: gram_products, projections, norms, true_residual_checks, spmv.
     Phases: harvest, mpk, ortho, residual, fallback.  One event is one
     synchronization, whatever its size, so a block projection and a single
     dot product both count 1.  spmv is bookkeeping, not a reduction.
+
+    with counter.phase(name) books every event inside to name, and the
+    block's wall time to seconds[name]; add's phase applies only where
+    none is open.  The outermost open phase wins, so a harvest's mpk,
+    ortho and fallback work stays in harvest.  Set-up is no phase: it has
+    its own clock, and would swallow the scalar-equilibration harvest.
+    Nor is the least-squares solve, which books no events.  No phase
+    holds Hessenberg assembly, Givens rotations, iterate updates, Leja
+    ordering, the change of basis, the step estimate or loo tracking.
     """
 
     def __init__(self):
         self._counts = {ph: dict.fromkeys(COUNTER_KINDS, 0) for ph in PHASES}
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self._open = None  # the outermost open phase
 
     def add(self, kind: str, phase: str, n: int = 1):
         if kind not in COUNTER_KINDS:
             raise KeyError(f"unknown counter kind '{kind}'")
-        self._counts[phase][kind] += int(n)
+        if phase not in PHASES:
+            raise KeyError(f"unknown phase '{phase}'")
+        self._counts[self._open or phase][kind] += int(n)
+
+    @contextmanager
+    def phase(self, name: str):
+        """Book the events and the wall time of the block to name, unless a phase is open."""
+        if name not in PHASES:
+            raise KeyError(f"unknown phase '{name}'")
+        if self._open is not None:
+            yield
+            return
+        self._open = name
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] += time.perf_counter() - start
+            self._open = None
 
     def get(self, kind: str, phase: str) -> int:
         return self._counts[phase][kind]
@@ -340,6 +371,8 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
             "wall_time_s": solve_time,
         },
         "counters": counter.as_dict(),
+        # wall time by phase; not in counters, whose values are exact
+        "timings": dict(counter.seconds),
     }
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"  # no partial file on failure
     with open(json_path, "w", encoding="ascii") as f:

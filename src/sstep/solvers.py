@@ -27,7 +27,7 @@ from .basis import RitzSet, build_change_of_basis, matrix_powers, newton_scaling
 from .blockqr import bcgs2_partial_cholqr, project
 from .dense import BreakdownError, GivensLs, hessenberg_eigenvalues, negligible
 from .estimator import estimate_initial_step
-from .harness import COUNTER_KINDS, ReductionCounter, SolverConfig
+from .harness import ReductionCounter, SolverConfig
 
 
 @dataclass
@@ -100,9 +100,10 @@ def _real_vector(name: str, v, n: int | None = None) -> np.ndarray:
     return v.astype(np.float64, copy=False)
 
 
-def _counted(op, counter: ReductionCounter, phase: str):
+def _counted(op, counter: ReductionCounter):
+    """op, booking one spmv per apply to the counter phase open at the call (mpk if none)."""
     def apply(v):
-        counter.add("spmv", phase)
+        counter.add("spmv", "mpk")
         return op(v)
 
     return apply
@@ -113,16 +114,16 @@ class _Cycle:
 
     A step extends the basis q[:ncols + 1] by one or more vectors, appends
     the matching Hessenberg columns to ls and hands their residual
-    estimates to record.  q is the solve's basis storage, a C-order
-    (m + 1) x n array with one Krylov vector per contiguous row,
-    overwritten row by row.  rows collects one trace tuple (rel_res, loo,
+    estimates to record.  op is the solve's operator, which books each
+    apply on counter.  q is the solve's basis storage, a C-order (m + 1) x n
+    array with one Krylov vector per contiguous row, overwritten row by row.  rows collects one trace tuple (rel_res, loo,
     width, reductions_cum, spmv_cum) per least-squares column and blocks
     one BlockRecord per block; both belong to the solve, across cycles.
     signal is the step's last answer: None, or (k, est, exhausted).
     """
 
     def __init__(self, q: np.ndarray, r: np.ndarray, beta: float, beta0: float,
-                 cfg: SolverConfig, counter: ReductionCounter, rows: list, blocks: list):
+                 cfg: SolverConfig, counter: ReductionCounter, op, rows: list, blocks: list):
         m = cfg.restart_len
         self.q = q
         self.q[0] = r / beta
@@ -133,6 +134,7 @@ class _Cycle:
         self.tol = cfg.rel_tol * beta0  # what a least-squares estimate must meet
         self.cfg = cfg
         self.counter = counter
+        self.op = op
         self.rows = rows
         self.blocks = blocks
         self.signal = None
@@ -194,13 +196,14 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     space or not.
     """
     b = _real_vector("b", b)
-    op_res = _counted(op, counter, "residual")
+    op = _counted(op, counter)
 
     def residual(x):
         """b - A x and its norm; b itself for the zero start x = None."""
-        r = b if x is None else b - op_res(x)
-        counter.add("norms", "residual")
-        return r, float(np.linalg.norm(r))
+        with counter.phase("residual"):
+            r = b if x is None else b - op(x)
+            counter.add("norms", "residual")
+            return r, float(np.linalg.norm(r))
 
     x = np.zeros(len(b)) if x0 is None else _real_vector("x0", x0, len(b)).copy()
     with np.errstate(over="ignore"):  # an overflowing norm is refused next
@@ -220,7 +223,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         if beta <= cfg.rel_tol * beta0:  # also a zero first residual
             converged = True
             break
-        cyc = _Cycle(q, r, beta, beta0, cfg, counter, rows, blocks)
+        cyc = _Cycle(q, r, beta, beta0, cfg, counter, op, rows, blocks)
         if cycle == first:
             step.start(r, cyc)
         width = step.width
@@ -283,25 +286,22 @@ class _ColumnStep:
     harvests = False
     s0_star = None
 
-    def __init__(self, op, counter: ReductionCounter, phase: str):
-        self.op = op
-        self.counter = counter
-        self.phase = phase
-
     def start(self, r: np.ndarray, cyc: _Cycle) -> None:
         """A column step needs no shifts."""
 
     def __call__(self, cyc: _Cycle):
-        q, ls = cyc.q, cyc.ls
+        q, ls, counter = cyc.q, cyc.ls, cyc.counter
         i = ls.ncols + 1
         hcol = cyc.h[: i + 1, i - 1]
-        w = self.op(q[i - 1])
-        self.counter.add("projections", self.phase, i)
-        for t in range(i):
-            hcol[t] = float(q[t] @ w)
-            w -= hcol[t] * q[t]
-        self.counter.add("norms", self.phase)
-        nrm = float(np.linalg.norm(w))
+        with counter.phase("mpk"):
+            w = cyc.op(q[i - 1])
+        with counter.phase("ortho"):
+            counter.add("projections", "ortho", i)
+            for t in range(i):
+                hcol[t] = float(q[t] @ w)
+                w -= hcol[t] * q[t]
+            counter.add("norms", "ortho")
+            nrm = float(np.linalg.norm(w))
         # ||op(q[i - 1])|| rebuilt from the coefficients, without a reduction
         if negligible(nrm, i, math.sqrt(float(hcol[:i] @ hcol[:i]) + nrm * nrm)):
             nrm = 0.0
@@ -336,12 +336,8 @@ class _BlockStep:
     the shifts or the step estimate need a Ritz harvest that was not given.
     """
 
-    def __init__(self, op, counter: ReductionCounter, cfg: SolverConfig, ritz: RitzSet | None,
-                 phase: str = "solve"):
-        self.raw_op = op
-        self.op = _counted(op, counter, "mpk")
-        self.fallback = _ColumnStep(_counted(op, counter, "fallback"), counter, "fallback")
-        self.counter = counter
+    def __init__(self, cfg: SolverConfig, ritz: RitzSet | None, phase: str = "solve"):
+        self.fallback = _ColumnStep()
         self.cfg = cfg
         self.ritz = ritz
         self.phase = phase
@@ -358,7 +354,7 @@ class _BlockStep:
         """
         cfg = self.cfg
         if self.harvests:
-            self.ritz = ritz_harvest(self.raw_op, r, cfg.initial_step, self.counter, cycle=cyc)
+            self.ritz = ritz_harvest(cyc.op, r, cfg.initial_step, cyc.counter, cycle=cyc)
         if self.ritz is not None and not _scalable(self.ritz.values):
             self.ritz = None
         if cfg.use_step_estimator and self.ritz is not None:
@@ -366,7 +362,7 @@ class _BlockStep:
             self.width = min(self.width, self.s0_star)
 
     def __call__(self, cyc: _Cycle):
-        cfg, q, ls = self.cfg, cyc.q, cyc.ls
+        cfg, q, ls, counter = self.cfg, cyc.q, cyc.ls, cyc.counter
         i = ls.ncols + 1
         s_eff = min(self.width, cfg.restart_len - i + 1)
         ritz = _leading_ritz(cyc.h, i - 1) if self.phase == "harvest" else self.ritz
@@ -374,12 +370,15 @@ class _BlockStep:
         shifts = None if basis == "monomial" else ritz.cycled(s_eff)
         cob = build_change_of_basis(basis, s_eff, shifts)
         # built in the basis rows it will occupy, which fit: s_eff <= m - i + 1
-        blk = matrix_powers(self.op, q[i - 1 : i + s_eff], cob)
+        with counter.phase("mpk"):
+            blk = matrix_powers(cyc.op, q[i - 1 : i + s_eff], cob)
         try:
-            outcome = bcgs2_partial_cholqr(q[:i], blk.v, cfg.cond_limit, counter=self.counter)
+            with counter.phase("ortho"):
+                outcome = bcgs2_partial_cholqr(q[:i], blk.v, cfg.cond_limit, counter=counter)
         except BreakdownError:
             cyc.blocks.append(BlockRecord(self.phase, s_eff, 0, "breakdown", np.empty(0)))
-            return self.fallback(cyc)
+            with counter.phase("fallback"):
+                return self.fallback(cyc)
         p = outcome.p
         cyc.blocks.append(BlockRecord(self.phase, s_eff, p, outcome.stopped_by, outcome.cond_trace))
 
@@ -427,40 +426,38 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
 
     cycle, given only by an adaptive solve, is the solve's first cycle,
     started from rhs, its first residual, by the driver, which also normed
-    it.  The harvest then fills that cycle's basis, Hessenberg matrix,
-    least-squares state, trace rows and block records, stops early also on
-    the cycle's tolerance, and leaves its signal in cycle.signal, so that
-    the driver keeps its iterate.  Standalone, the harvest builds a cycle
-    of its own and keeps none of it but the Ritz values.
+    it, and op and counter are the cycle's.  The harvest then fills that
+    cycle's basis, Hessenberg matrix, least-squares state, trace rows and
+    block records, stops early also on the cycle's tolerance, and leaves its
+    signal in cycle.signal, so that the driver keeps its iterate.
+    Standalone, the harvest builds a cycle of its own and keeps none of it
+    but the Ritz values.
     """
     if k < 1:
         raise ValueError("k must be positive")
     counter = counter if counter is not None else ReductionCounter()
     cfg = SolverConfig(basis="scaled-newton", restart_len=k)
-    # the step books mpk, ortho and fallback events; a counter of its own
-    # keeps them out of the caller's solve phases
-    own = ReductionCounter()
-    if cycle is None:
-        rhs = _real_vector("rhs", rhs)
-        counter.add("norms", "harvest")
-        with np.errstate(over="ignore"):  # an overflowing norm is refused below
-            beta = float(np.linalg.norm(rhs))
-        if beta == 0.0:
-            raise ValueError("cannot harvest from a zero vector")
-        if not math.isfinite(beta):
-            raise ValueError(f"cannot harvest from rhs of norm {beta}: it holds inf or NaN, "
-                             "or its norm overflows")
-        cycle = _Cycle(np.empty((k + 1, len(rhs))), rhs, beta, beta, cfg, own, [], [])
-        cycle.tol = -math.inf  # never stop on the least-squares estimate
-    step = _BlockStep(op, own, cfg, None, "harvest")
-    while cycle.ls.ncols < k and cycle.signal is None:
-        i = cycle.ls.ncols + 1
-        cycle.signal = step(cycle)
-    for kind in COUNTER_KINDS:
-        counter.add(kind, "harvest", own.kind_total(kind))
-    # Hessenberg column i closes an exhausted space, also when the
-    # least-squares state could not take it
-    return RitzSet.from_values(hessenberg_eigenvalues(cycle.h, max(cycle.ls.ncols, i)))
+    step = _BlockStep(cfg, None, "harvest")
+    with counter.phase("harvest"):
+        if cycle is None:
+            rhs = _real_vector("rhs", rhs)
+            counter.add("norms", "harvest")
+            with np.errstate(over="ignore"):  # an overflowing norm is refused below
+                beta = float(np.linalg.norm(rhs))
+            if beta == 0.0:
+                raise ValueError("cannot harvest from a zero vector")
+            if not math.isfinite(beta):
+                raise ValueError(f"cannot harvest from rhs of norm {beta}: it holds inf or NaN, "
+                                 "or its norm overflows")
+            cycle = _Cycle(np.empty((k + 1, len(rhs))), rhs, beta, beta, cfg, counter,
+                           _counted(op, counter), [], [])
+            cycle.tol = -math.inf  # never stop on the least-squares estimate
+        while cycle.ls.ncols < k and cycle.signal is None:
+            i = cycle.ls.ncols + 1
+            cycle.signal = step(cycle)
+        # Hessenberg column i closes an exhausted space, also when the
+        # least-squares state could not take it
+        return RitzSet.from_values(hessenberg_eigenvalues(cycle.h, max(cycle.ls.ncols, i)))
 
 
 def assemble_hessenberg(r_hat: np.ndarray, b_dense: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
@@ -492,8 +489,7 @@ def gmres_baseline(op, b: np.ndarray, x0: np.ndarray | None = None,
     """
     cfg = config if config is not None else SolverConfig()
     counter = counter if counter is not None else ReductionCounter()
-    step = _ColumnStep(_counted(op, counter, "mpk"), counter, "ortho")
-    return _restarted_gmres(op, b, x0, cfg, counter, step)
+    return _restarted_gmres(op, b, x0, cfg, counter, _ColumnStep())
 
 
 def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
@@ -519,4 +515,4 @@ def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
     if cfg.initial_step > cfg.restart_len:  # the harvest cycle must fit the basis
         raise ValueError("initial_step cannot exceed restart_len")
     counter = counter if counter is not None else ReductionCounter()
-    return _restarted_gmres(op, b, x0, cfg, counter, _BlockStep(op, counter, cfg, ritz))
+    return _restarted_gmres(op, b, x0, cfg, counter, _BlockStep(cfg, ritz))

@@ -23,6 +23,7 @@ from sstep import (
     resolve_matrix,
     run_experiment,
 )
+from sstep.harness import PHASES
 
 
 class TestReductionCounter:
@@ -57,6 +58,45 @@ class TestReductionCounter:
     def test_unknown_kind_rejected(self):
         with pytest.raises(KeyError, match="unknown counter kind"):
             ReductionCounter().add("flops", "ortho")
+
+    def test_unknown_phase_rejected_by_name(self):
+        c = ReductionCounter()
+        with pytest.raises(KeyError) as err:
+            c.add("norms", "bogus")
+        assert err.value.args == ("unknown phase 'bogus'",)
+        with pytest.raises(KeyError) as err:
+            with c.phase("bogus"):
+                pass
+        assert err.value.args == ("unknown phase 'bogus'",)
+
+    def test_outermost_phase_takes_counts_and_seconds(self):
+        c = ReductionCounter()
+        with c.phase("harvest"):
+            c.add("norms", "ortho")
+            with c.phase("fallback"):
+                c.add("spmv", "mpk", 2)
+                time.sleep(0.01)
+        assert c.get("norms", "harvest") == 1 and c.get("spmv", "harvest") == 2
+        assert c.total_reductions() == 1 and c.kind_total("spmv") == 2
+        assert c.seconds["harvest"] >= 0.01
+        assert c.seconds["fallback"] == 0.0
+        assert [c.seconds[ph] for ph in ("mpk", "ortho", "residual")] == [0.0] * 3
+        # with no phase open, an event books to the phase it names
+        c.add("norms", "ortho")
+        assert c.get("norms", "ortho") == 1
+
+    def test_exception_closes_phase(self):
+        c = ReductionCounter()
+        with pytest.raises(RuntimeError):
+            with c.phase("residual"):
+                c.add("norms", "ortho")
+                raise RuntimeError
+        c.add("norms", "ortho")
+        assert c.get("norms", "residual") == 1 and c.get("norms", "ortho") == 1
+        with c.phase("mpk"):
+            c.add("spmv", "harvest")
+        assert c.get("spmv", "mpk") == 1 and c.get("spmv", "harvest") == 0
+        assert c.seconds["mpk"] >= 0.0 and c.seconds["harvest"] == 0.0
 
 
 class TestProblemBuilding:
@@ -220,6 +260,29 @@ class TestRunExperiment:
         r2 = run_experiment(small_manifest(), str(tmp_path / "b"))
         with open(r1.csv_path, "rb") as f1, open(r2.csv_path, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_sidecar_times_every_phase(self, tmp_path):
+        runs = {"baseline": small_manifest(solver="gmres"),
+                "adaptive": small_manifest(basis="scaled-newton"),
+                # the set-up harvest for the scale, with a monomial solve
+                # that harvests nothing more
+                "scalar": small_manifest(equilibrate="scalar")}
+        for name, man in runs.items():
+            r1 = run_experiment(man, str(tmp_path / name / "a"))
+            r2 = run_experiment(man, str(tmp_path / name / "b"))
+            with open(r1.csv_path, "rb") as f1, open(r2.csv_path, "rb") as f2:
+                assert f1.read() == f2.read(), name
+            with open(r1.json_path, encoding="ascii") as f:
+                side = json.load(f)
+            assert side["counters"] == r2.summary["counters"], name
+            timings, out = side["timings"], side["result"]
+            assert set(timings) == set(PHASES) == set(side["counters"]), name
+            assert all(math.isfinite(t) and t >= 0.0 for t in timings.values()), name
+            assert sum(timings.values()) <= out["setup_time_s"] + out["wall_time_s"], name
+            if name == "baseline":
+                assert timings["harvest"] == timings["fallback"] == 0.0
+            else:
+                assert timings["harvest"] > 0.0 and side["counters"]["harvest"]["spmv"] > 0, name
 
     def test_label_controls_stem(self, tmp_path):
         res = run_experiment(small_manifest(label="probe"), str(tmp_path))
