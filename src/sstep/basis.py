@@ -2,6 +2,9 @@
 
 The matrix powers kernel is the bare recurrence into rows the caller gives:
 it takes no norm, so it makes no reduction; the block QR decides what stays.
+The operator is a callable, op(v) returning a new vector, or op(v, out=row)
+writing into the row it is given (see writes_into); the kernel hands the
+latter each step's own row, and so allocates no n-vector per step.
 
 Complex shifts are handled in real arithmetic.  A conjugate pair occupies
 two adjacent recurrence steps: the first step uses only the real part, the
@@ -11,6 +14,7 @@ real even when the shifts are not.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -186,26 +190,59 @@ class KrylovBlock:
     ncols: int
 
 
+def writes_into(op):
+    """op as a callable f(v, out) that leaves op(v) in out and returns out.
+
+    An operator whose signature has an out parameter, or **kwargs, is
+    called as op(v, out=out), and writes into out; any other operator's
+    new vector is copied into out.  The signature is read once, here.
+    """
+    try:
+        params = inspect.signature(op).parameters.values()
+    except (TypeError, ValueError):  # no signature to read: call it plainly
+        params = ()
+    if any(p.kind is p.VAR_KEYWORD or (p.name == "out" and p.kind is not p.POSITIONAL_ONLY)
+           for p in params):
+        def into(v, out):
+            y = op(v, out=out)
+            if y is not out:  # an operator that returned a new vector after all
+                out[...] = y
+            return out
+    else:
+        def into(v, out):
+            out[...] = op(v)
+            return out
+    return into
+
+
 def matrix_powers(op, rows: np.ndarray, cob: ChangeOfBasis) -> KrylovBlock:
     """Generate s new Krylov vectors into rows[1:s+1] from the seed in rows[0].
 
     rows is an (s + 1) x n float64 array, one vector per row; the solver
     passes the basis rows the block will occupy.  op is the operator as a
-    callable (preconditioning folded in by the caller).  No norm is taken
-    and an overflowing block warns nowhere: the block QR drops what overflowed.
-    The shift and coupling products of every step go through one scratch row.
+    callable (preconditioning folded in by the caller): op(v), returning a
+    new vector that is copied into the step's row, or op(v, out=row),
+    writing into it (writes_into).  The latter allocates no n-vector per
+    step.  The shift, coupling and scale passes run only where they are
+    not 0, 0 and 1, through one scratch row, so a monomial step is the
+    operator apply alone.  No norm is taken and an overflowing block warns
+    nowhere: the block QR drops what overflowed.
     """
     s = cob.s
     if rows.ndim != 2 or rows.shape[0] != s + 1:
         raise ValueError(f"rows must hold the seed and {s} vectors, got shape {rows.shape}")
-    tmp = np.empty_like(rows[0])
+    apply = writes_into(op)
+    tmp = np.empty_like(rows[0]) if cob.shift.any() or cob.coupling.any() else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(s):
             prev, w = rows[k], rows[k + 1]
-            np.multiply(prev, cob.shift[k], out=tmp)
-            np.subtract(op(prev), tmp, out=w)
+            apply(prev, w)
+            if cob.shift[k] != 0.0:
+                np.multiply(prev, cob.shift[k], out=tmp)
+                w -= tmp
             if cob.coupling[k] != 0.0:
                 np.multiply(rows[k - 1], cob.coupling[k], out=tmp)
                 w += tmp
-            w /= cob.scale[k]
+            if cob.scale[k] != 1.0:
+                w /= cob.scale[k]
     return KrylovBlock(rows[1:], s)

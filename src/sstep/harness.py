@@ -3,8 +3,9 @@
 A run writes two files with a common stem: a per-iteration CSV whose
 header is ``CSV_HEADER`` and a JSON sidecar holding the problem echo,
 solver settings, outcome, counters, and seconds per counter phase under
-``timings``.  CSV contents and counters are byte-identical across reruns
-of the same manifest; the sidecar is not, because it records wall time.
+``timings`` (and per block, in each entry of ``result.blocks``).  CSV
+contents and counters are byte-identical across reruns of the same
+manifest; the sidecar is not, because it records wall time.
 ``ReductionCounter`` says what lies in no phase.
 """
 
@@ -276,7 +277,8 @@ def build_rhs(a: SparseMatrix, mode: str, seed: int) -> np.ndarray:
         return a.matvec(np.ones(a.n))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a.n)
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    return v
 
 
 def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
@@ -306,8 +308,9 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
     if manifest.precond == "ilu0":
         m_fac = ilu0(a_eq)
 
-        def op(v):
-            return m_fac.solve(a_eq.matvec(v))
+        def op(v, out=None):
+            # A v lands in out, and the solve reads it there before writing
+            return m_fac.solve(a_eq.matvec(v, out=out), out=out)
 
         rhs_sys = m_fac.solve(b_eq)
     else:
@@ -361,10 +364,12 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
             "s0_star": None if trace.s0_star is None else int(trace.s0_star),
             "block_sizes": [int(p) for p in trace.block_sizes],
             "wasted_columns": int(trace.wasted_columns),
-            # harvest blocks included; last_cond is None after a fallback
+            # harvest blocks included; last_cond is None after a fallback;
+            # mpk_s and qr_s, the block's wall seconds, are parts of timings
             "blocks": [{"phase": blk.phase, "asked": int(blk.asked), "kept": int(blk.kept),
                         "stopped_by": blk.stopped_by,
-                        "last_cond": float(blk.cond_trace[-1]) if len(blk.cond_trace) else None}
+                        "last_cond": float(blk.cond_trace[-1]) if len(blk.cond_trace) else None,
+                        "mpk_s": blk.mpk_s, "qr_s": blk.qr_s}
                        for blk in trace.blocks],
             "loo_final": float(trace.loo[-1]) if trace.iterations and manifest.track_loo else None,
             "setup_time_s": setup_time,

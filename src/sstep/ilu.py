@@ -23,9 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as _sp
-# the triangular solve behind scipy.sparse.linalg.spsolve_triangular, which
-# copies and rescales its matrix on every call; private, hence scipy >= 1.17
-from scipy.sparse.linalg._dsolve._superlu import gstrs
+
+try:  # the triangular solve behind scipy.sparse.linalg.spsolve_triangular,
+    # which copies and rescales its matrix on every call; private, so a scipy
+    # without it leaves ilu0 unavailable and the rest of the package working
+    from scipy.sparse.linalg._dsolve._superlu import gstrs
+except ImportError:
+    gstrs = None
 
 from .sparse import SparseMatrix
 
@@ -64,16 +68,23 @@ class ILU0:
              np.insert(up.indices, ends, np.arange(n)), up.indptr + np.arange(n + 1)),
             shape=up.shape).tocsr()
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """Return M^{-1} r as a new array: a forward and a backward sweep by columns."""
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """M^{-1} r: a forward and a backward sweep by columns.
+
+        Returns a new array, or writes into out, an n-vector that may be r
+        itself, and returns out.
+        """
         lo, up = self.lower, self.upper
         n = lo.shape[0]
-        # gstrs overwrites its right-hand side
+        # gstrs solves in a copy of its right-hand side and returns the copy
         x, info = gstrs("N", n, lo.nnz, lo.data, lo.indices, lo.indptr,
-                        n, up.nnz, up.data, up.indices, up.indptr, np.array(r, dtype=np.float64))
+                        n, up.nnz, up.data, up.indices, up.indptr, np.asarray(r, dtype=np.float64))
         if info:
             raise RuntimeError(f"triangular solve failed: info {info}")
-        return x
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -155,8 +166,12 @@ def ilu0(a: SparseMatrix) -> ILU0:
     Every row must contain a structural diagonal entry.  A zero pivot
     raises ZeroPivotError naming the row the row-by-row loop stops at, and
     an elimination that overflows one naming the first row whose factor
-    entries are not all finite.
+    entries are not all finite.  A scipy without the private triangular
+    solve the factors are laid out for raises ValueError naming it.
     """
+    if gstrs is None:
+        raise ValueError("ilu0 needs scipy.sparse.linalg._dsolve._superlu.gstrs, "
+                         "which this scipy does not provide")
     n = a.n
     indptr, indices = a.indptr, a.indices
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))

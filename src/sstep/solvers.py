@@ -12,18 +12,22 @@ that cycle is the solve's first, and its iterate is kept.
 Both take the operator as a callable and the right-hand side of the system
 actually iterated on, i.e. preconditioning and scaling are folded in by the
 caller.  Residual norms in traces are therefore preconditioned residuals,
-reported relative to the first cycle's starting norm.
+reported relative to the first cycle's starting norm.  The operator is
+op(v), returning a new vector, or op(v, out=row), writing into the row it
+is given (basis.writes_into, read once per solve); the latter is handed
+the basis row or residual buffer its result belongs in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .basis import RitzSet, build_change_of_basis, matrix_powers, newton_scalings
+from .basis import RitzSet, build_change_of_basis, matrix_powers, newton_scalings, writes_into
 from .blockqr import bcgs2_partial_cholqr, project
 from .dense import BreakdownError, GivensLs, hessenberg_eigenvalues, negligible
 from .estimator import estimate_initial_step
@@ -42,6 +46,9 @@ class BlockRecord:
                  or 'breakdown' for a block that fell back.
     cond_trace : the block QR's first-pass condition values (empty after
                  a fallback).
+    mpk_s, qr_s : wall seconds of the block's matrix powers and of its
+                 block QR (up to the breakdown, for a block that fell back);
+                 not compared, since they differ from run to run.
     """
 
     phase: str
@@ -49,6 +56,8 @@ class BlockRecord:
     kept: int
     stopped_by: str
     cond_trace: np.ndarray
+    mpk_s: float = field(compare=False)
+    qr_s: float = field(compare=False)
 
 
 @dataclass
@@ -101,10 +110,15 @@ def _real_vector(name: str, v, n: int | None = None) -> np.ndarray:
 
 
 def _counted(op, counter: ReductionCounter):
-    """op, booking one spmv per apply to the counter phase open at the call (mpk if none)."""
-    def apply(v):
+    """op as apply(v, out), which writes into out and books one spmv per apply.
+
+    The spmv goes to the counter phase open at the call, mpk if none.
+    """
+    into = writes_into(op)
+
+    def apply(v, out):
         counter.add("spmv", "mpk")
-        return op(v)
+        return into(v, out)
 
     return apply
 
@@ -114,9 +128,10 @@ class _Cycle:
 
     A step extends the basis q[:ncols + 1] by one or more vectors, appends
     the matching Hessenberg columns to ls and hands their residual
-    estimates to record.  op is the solve's operator, which books each
-    apply on counter.  q is the solve's basis storage, a C-order (m + 1) x n
-    array with one Krylov vector per contiguous row, overwritten row by row.  rows collects one trace tuple (rel_res, loo,
+    estimates to record.  op is the solve's operator, op(v, out), which
+    books each apply on counter.  q is the solve's basis storage, a C-order
+    (m + 1) x n array with one Krylov vector per contiguous row, overwritten
+    row by row.  rows collects one trace tuple (rel_res, loo,
     width, reductions_cum, spmv_cum) per least-squares column and blocks
     one BlockRecord per block; both belong to the solve, across cycles.
     signal is the step's last answer: None, or (k, est, exhausted).
@@ -126,7 +141,7 @@ class _Cycle:
                  cfg: SolverConfig, counter: ReductionCounter, op, rows: list, blocks: list):
         m = cfg.restart_len
         self.q = q
-        self.q[0] = r / beta
+        np.divide(r, beta, out=q[0])
         self.h = np.zeros((m + 1, m))
         self.ls = GivensLs(m, beta)
         self.loo_sq = 0.0
@@ -138,6 +153,14 @@ class _Cycle:
         self.rows = rows
         self.blocks = blocks
         self.signal = None
+
+    def update(self, k: int) -> np.ndarray:
+        """The iterate update of the least-squares solution on the first k columns.
+
+        Formed in basis row q[k].  The cycle ends with its update, so from
+        then on every basis row is free until the next cycle starts.
+        """
+        return np.matmul(self.ls.solve(k), self.q[:k], out=self.q[k])
 
     def record(self, i: int, ests, width: int, exhausted: bool = False):
         """Trace least-squares columns i, i + 1, ... whose residual estimates are ests.
@@ -198,10 +221,14 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     b = _real_vector("b", b)
     op = _counted(op, counter)
 
-    def residual(x):
-        """b - A x and its norm; b itself for the zero start x = None."""
+    def residual(x, out=None):
+        """b - A x, formed in out (a new vector when None), and its norm; b itself for x = None."""
         with counter.phase("residual"):
-            r = b if x is None else b - op(x)
+            if x is None:
+                r = b
+            else:
+                r = op(x, np.empty(len(b)) if out is None else out)
+                np.subtract(b, r, out=r)
             counter.add("norms", "residual")
             return r, float(np.linalg.norm(r))
 
@@ -230,25 +257,30 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
         while cycle >= 0 and cyc.ls.ncols < cfg.restart_len and cyc.signal is None:
             cyc.signal = step(cyc)
         if cyc.signal is None:
-            # full cycle without a convergence signal: advance the iterate
-            x = x + cyc.ls.solve() @ cyc.q[: cyc.ls.ncols]
-            r, beta = residual(x)
+            # full cycle without a convergence signal: advance the iterate,
+            # and form its residual over the last one, which no one reads again
+            x += cyc.update(cyc.ls.ncols)
+            r, beta = residual(x, None if r is b else r)
             continue
         k, est, exhausted = cyc.signal
         kept = False
         if k > 0:
             # confirm against the true residual; the update is kept only when it
             # converges or improves on the cycle start, since a least-squares
-            # solve that crossed a near-dependent column can hand back a worse point
-            x_new = x + cyc.ls.solve(k) @ cyc.q[:k]
+            # solve that crossed a near-dependent column can hand back a worse
+            # point; x_new and its residual are formed in basis rows, which the
+            # ended cycle no longer reads, and copied into the state when kept
+            x_new = np.add(x, cyc.update(k), out=cyc.q[k])
             counter.add("true_residual_checks", "residual")
-            r_new, beta_new = residual(x_new)
+            r_new, beta_new = residual(x_new, cyc.q[0])
             # the 10x allowance on the estimate applies only to an estimate that
             # met the tolerance; an exhausted space above it is not convergence
             converged = beta_new <= (max(10.0 * est, cyc.tol) if est <= cyc.tol else cyc.tol)
             kept = converged or beta_new < beta
             if kept:
-                x, r, beta = x_new, r_new, beta_new
+                if r is b:  # the caller's b; the state takes a vector of its own
+                    r = np.empty_like(b)
+                x[...], r[...], beta = x_new, r_new, beta_new
         if converged:
             break
         if cycle >= 0 and not kept and (exhausted or step.width == width):
@@ -294,7 +326,7 @@ class _ColumnStep:
         i = ls.ncols + 1
         hcol = cyc.h[: i + 1, i - 1]
         with counter.phase("mpk"):
-            w = cyc.op(q[i - 1])
+            w = cyc.op(q[i - 1], q[i])  # projected and normalized in place
         with counter.phase("ortho"):
             counter.add("projections", "ortho", i)
             for t in range(i):
@@ -307,7 +339,7 @@ class _ColumnStep:
             nrm = 0.0
         hcol[i] = nrm
         if nrm != 0.0:
-            q[i] = w / nrm
+            w /= nrm
         try:
             ests = ls.append(hcol)
         except BreakdownError:
@@ -369,18 +401,27 @@ class _BlockStep:
         basis = "monomial" if ritz is None else cfg.basis
         shifts = None if basis == "monomial" else ritz.cycled(s_eff)
         cob = build_change_of_basis(basis, s_eff, shifts)
-        # built in the basis rows it will occupy, which fit: s_eff <= m - i + 1
+        # built in the basis rows it will occupy, which fit: s_eff <= m - i + 1;
+        # each clock reads inside its phase, so a block's seconds are part of it
         with counter.phase("mpk"):
+            t0 = time.perf_counter()
             blk = matrix_powers(cyc.op, q[i - 1 : i + s_eff], cob)
-        try:
-            with counter.phase("ortho"):
+            mpk_s = time.perf_counter() - t0
+        with counter.phase("ortho"):
+            t0 = time.perf_counter()
+            try:
                 outcome = bcgs2_partial_cholqr(q[:i], blk.v, cfg.cond_limit, counter=counter)
-        except BreakdownError:
-            cyc.blocks.append(BlockRecord(self.phase, s_eff, 0, "breakdown", np.empty(0)))
+            except BreakdownError:
+                outcome = None
+            qr_s = time.perf_counter() - t0
+        if outcome is None:
+            cyc.blocks.append(BlockRecord(self.phase, s_eff, 0, "breakdown", np.empty(0),
+                                          mpk_s, qr_s))
             with counter.phase("fallback"):
                 return self.fallback(cyc)
         p = outcome.p
-        cyc.blocks.append(BlockRecord(self.phase, s_eff, p, outcome.stopped_by, outcome.cond_trace))
+        cyc.blocks.append(BlockRecord(self.phase, s_eff, p, outcome.stopped_by, outcome.cond_trace,
+                                      mpk_s, qr_s))
 
         h_blk = assemble_hessenberg(outcome.r_hat, cob.dense(), cyc.h[:i, : i - 1])
         cyc.h[: i + p, i - 1 : i - 1 + p] = h_blk
@@ -510,6 +551,14 @@ def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
     when needed and not given it is harvested with initial_step Arnoldi
     iterations on op from the driver's first residual, and that harvest is
     the solve's first cycle: its iterate is kept, and it is not a restart.
+
+    op is op(v), returning a new vector, or op(v, out=row), writing into
+    row and returning it; an operator whose signature has an out
+    parameter or **kwargs is taken to be the second kind
+    (basis.writes_into).  That kind is handed the basis row or residual
+    vector its result belongs in, so the matrix powers kernel allocates no
+    n-vector per step; the first kind's vector is copied in.  The results
+    are the same bits either way.
     """
     cfg = config if config is not None else SolverConfig()
     if cfg.initial_step > cfg.restart_len:  # the harvest cycle must fit the basis

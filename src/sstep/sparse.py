@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as _sp
 
+try:  # private: the kernel behind csr_matrix.dot, which takes the output array
+    from scipy.sparse._sparsetools import csr_matvec
+except ImportError:
+    csr_matvec = None
+
 
 def _index_dtype(n: int, nnz: int):
     return np.int32 if max(n, nnz) < 2**31 else np.int64
@@ -54,7 +59,7 @@ class SparseMatrix:
             raise ValueError("indptr must have length n + 1")
         if indptr[0] != 0 or indptr[-1] != nnz:
             raise ValueError("indptr endpoints inconsistent with data length")
-        if np.any(np.diff(indptr) < 0):
+        if (indptr[1:] < indptr[:-1]).any():
             raise ValueError("indptr must be nondecreasing")
         if len(indices) != nnz:
             raise ValueError("indices and data length mismatch")
@@ -65,7 +70,7 @@ class SparseMatrix:
         self.indices = np.ascontiguousarray(indices, dtype=idx)
         # strictly increasing columns per row also rules out duplicates; the
         # pair (p, p + 1) spans two rows when p + 1 starts a row
-        bad = np.diff(self.indices) <= 0
+        bad = self.indices[1:] <= self.indices[:-1]
         starts = self.indptr[1:-1]
         bad[starts[(starts > 0) & (starts < len(self.indices))] - 1] = False
         if bad.any():
@@ -101,12 +106,31 @@ class SparseMatrix:
             )
         return self._handle
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """y = A x with fixed left-to-right accumulation within each row."""
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """y = A x with fixed left-to-right accumulation within each row.
+
+        With out, a C-contiguous float64 n-vector that does not overlap x,
+        y is written into it and out is returned; it is zeroed and then
+        accumulated into, as .dot does with a fresh zero vector, so both
+        give the same bits.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"operand length {x.shape} incompatible with n={self.n}")
-        return self._scipy().dot(x)
+        if out is None:
+            return self._scipy().dot(x)
+        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == (self.n,) and out.flags.carray):
+            raise ValueError("out must be a writeable C-contiguous float64 array "
+                             f"of length {self.n}")
+        if np.may_share_memory(x, out):
+            raise ValueError("out must not overlap the operand")
+        if csr_matvec is None:
+            out[...] = self._scipy().dot(x)
+        else:
+            out.fill(0.0)
+            csr_matvec(self.n, self.n, self.indptr, self.indices, self.data, x, out)
+        return out
 
     def diagonal(self) -> np.ndarray:
         return self._scipy().diagonal()
@@ -132,6 +156,7 @@ def _fail(lineno: int, msg: str):
     raise ValueError(f"line {lineno}: {msg}")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
@@ -231,6 +256,8 @@ def _read_size(f):
         _fail(k, f"matrix must be square, got {nrows} x {ncols}")
     if nrows <= 0 or nnz < 0:
         _fail(k, "dimensions must be positive")
+    if max(nrows, nnz) > _INT64_MAX:  # the entry arrays hold int64 indices
+        _fail(k, f"dimensions must be at most {_INT64_MAX}")
     # a stored entry fills one row, or two when it mirrors across the diagonal
     if nrows > (2 * nnz if sym == "symmetric" else nnz):
         _fail(k, f"{nnz} {sym} entries cannot give each of {nrows} rows an entry")

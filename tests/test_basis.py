@@ -1,6 +1,7 @@
 """Shift ordering, recurrence coefficients, matrix-powers kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,11 +9,14 @@ import pytest
 
 from sstep import (
     RitzSet,
+    SparseMatrix,
     build_change_of_basis,
+    gen_diagonal,
     leja_order,
     matrix_powers,
     newton_scalings,
 )
+from sstep.basis import writes_into
 
 
 def greedy_product_order(values):
@@ -321,7 +325,64 @@ class TestMatrixPowers:
         npt.assert_array_equal(blk.v, rows[1:])
         npt.assert_array_equal(rows[3], self.a @ (self.a @ (self.a @ self.seed)))
 
+    @pytest.mark.parametrize("kind,shifts", [
+        ("monomial", None),
+        ("newton", [1.8, 1.2, 1.5, 1.1]),
+        ("scaled-newton", [2.0, 1.3 + 0.4j, 1.3 - 0.4j, 1.0]),
+    ])
+    def test_operator_writing_into_the_row_gives_the_same_bits(self, kind, shifts):
+        a = SparseMatrix.from_dense(self.a)
+        cob = build_change_of_basis(kind, 4, RitzSet.from_values(shifts) if shifts else None)
+        into = generate(a.matvec, self.seed, cob)
+        fresh = generate(lambda v: a.matvec(v), self.seed, cob)
+        assert into.v.tobytes() == fresh.v.tobytes()
+
+    def test_monomial_block_allocates_no_vector_per_step(self):
+        # the operator writes into each step's row, and a step with shift 0,
+        # coupling 0 and scale 1 runs no pass of its own
+        n, s = 100_000, 20
+        a = gen_diagonal(n, 0.5, 1.5)
+        rows = np.empty((s + 1, n))
+        rows[0] = 1.0 / math.sqrt(n)
+        cob = build_change_of_basis("monomial", s)
+        matrix_powers(a.matvec, rows.copy(), cob)  # warm-up
+        tracemalloc.start()
+        try:
+            matrix_powers(a.matvec, rows, cob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8 / 10
+        w, d = rows[0], a.diagonal()
+        for _ in range(s):
+            w = d * w
+        npt.assert_array_equal(rows[s], w)
+
     @pytest.mark.parametrize("nrows", [3, 5])
     def test_rows_must_hold_seed_and_block(self, nrows):
         with pytest.raises(ValueError, match="seed and 3 vectors"):
             matrix_powers(self.op, np.zeros((nrows, 20)), build_change_of_basis("monomial", 3))
+
+
+class TestWritesInto:
+    def test_an_operator_with_out_writes_into_the_row(self):
+        calls = []
+
+        def op(v, out=None):
+            calls.append(out)
+            return np.multiply(v, 2.0, out=out)
+
+        out = np.empty(3)
+        assert writes_into(op)(np.arange(3.0), out) is out
+        npt.assert_array_equal(out, [0.0, 2.0, 4.0])
+        assert calls[0] is out
+
+    @pytest.mark.parametrize("op", [
+        lambda v: 2.0 * v,
+        lambda v, **kwargs: 2.0 * v,  # takes out, but hands back a new vector
+        lambda v, /: 2.0 * v,
+    ], ids=["plain", "kwargs-new-vector", "positional"])
+    def test_any_other_operator_is_copied_into_the_row(self, op):
+        out = np.empty(3)
+        assert writes_into(op)(np.arange(3.0), out) is out
+        npt.assert_array_equal(out, [0.0, 2.0, 4.0])

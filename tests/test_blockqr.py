@@ -12,6 +12,7 @@ import sstep.blockqr
 from sstep import (
     BreakdownError,
     ReductionCounter,
+    RitzSet,
     bcgs2_partial_cholqr,
     build_change_of_basis,
     matrix_powers,
@@ -353,19 +354,23 @@ class TestOverflowStop:
             bcgs2_partial_cholqr(ortho_basis(rng, 30, 2), v, 1e7, counter=counter)
         assert counter.phase_reductions("ortho") == 2
 
-    def test_overflowing_monomial_block_warns_nowhere(self):
-        # norms 1e9, 1e18, ...: the second vector is past the limit and the
-        # recurrence runs on into inf and then nan, all without a warning
+    @pytest.mark.parametrize("kind", ["monomial", "newton"])
+    def test_overflowing_block_warns_nowhere(self, kind):
+        # norms about 1e9, 1e18, ...: the second vector is past the limit and
+        # the recurrence runs on into inf, all without a warning; a monomial
+        # step is the operator apply alone, so its rows stay inf, while a
+        # shifted step subtracts inf from inf and runs on into nan
         n, s = 20, 40
         rows = np.empty((s + 1, n))
         rows[0] = 1.0 / np.sqrt(n)
+        shifts = RitzSet(np.ones(s)) if kind == "newton" else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            blk = matrix_powers(lambda v: 1e9 * v, rows, build_change_of_basis("monomial", s))
-            assert np.isinf(rows).any() and np.isnan(rows).any()
+            blk = matrix_powers(lambda v: 1e9 * v, rows, build_change_of_basis(kind, s, shifts))
+            assert np.isinf(rows).any() and np.isnan(rows).any() == (kind == "newton")
             out = bcgs2_partial_cholqr(np.zeros((0, n)), blk.v, 1e7)
         assert (out.p, out.stopped_by) == (1, "overflow")
-        npt.assert_array_equal(rows[1], rows[0])
+        npt.assert_allclose(rows[1], rows[0], rtol=1e-15)
 
     def test_results_land_in_v(self, monkeypatch):
         # the candidate rows, stored after the basis rows as the solver

@@ -102,6 +102,17 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("sstep: error: line 2:")
 
+    def test_size_line_beyond_int64_is_one(self, tmp_path, capsys):
+        # the second entry's row index is within 1..n, and 5e19 does not fit
+        # the int64 entry arrays: the size line is refused before any entry
+        path = tmp_path / "huge.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "99999999999999999999 99999999999999999999 99999999999999999999\n"
+                        "1 1 1.0\n50000000000000000000 2 1.0\n")
+        code, out, err = run_cli(capsys, "--matrix", str(path), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"sstep: error: line 2: dimensions must be at most {2**63 - 1}\n")
+
     def test_problem_too_large_for_memory_is_one(self, tmp_path, capsys, monkeypatch):
         # stands in for numpy refusing lap2d:100000; a real allocation that
         # size would be filled on a host that overcommits memory

@@ -25,11 +25,11 @@ def test_two_runs_print_identical_lines(tmp_path):
     first = fingerprint(tmp_path)
     assert fingerprint(tmp_path) == first
     lines = first.splitlines()
-    assert len(lines) == 22
+    assert len(lines) == 23
     names = [ln.split()[0] for ln in lines]
     assert len(set(names)) == len(names)
     runs = [ln for ln in lines if not ln.startswith("harvest-")]
-    assert len(runs) == 20
+    assert len(runs) == 21
     for ln in runs:
         assert all(f" {f}" in ln for f in FIELDS), ln
     # the convection-diffusion harvest really drives the conjugate-pair path

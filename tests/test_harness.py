@@ -5,7 +5,7 @@ import math
 import platform
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -327,9 +327,11 @@ class TestRunExperiment:
                              str(tmp_path))
         out = res.summary["result"]
         assert out["converged"] and out["block_sizes"] == [] and out["wasted_columns"] == 10
-        # the block that fell back has no condition value
-        assert out["blocks"] == [dict(phase="solve", asked=10, kept=0, stopped_by="breakdown",
-                                      last_cond=None)]
+        # the block that fell back has no condition value, and its seconds
+        [blk] = out["blocks"]
+        assert blk.pop("mpk_s") >= 0.0 and blk.pop("qr_s") >= 0.0
+        assert blk == dict(phase="solve", asked=10, kept=0, stopped_by="breakdown",
+                           last_cond=None)
 
     def test_sidecar_records_every_block(self, tmp_path):
         man = small_manifest(matrix="lap2d:12", basis="scaled-newton", initial_step=12,
@@ -351,6 +353,26 @@ class TestRunExperiment:
             assert (blk["asked"], blk["kept"], blk["stopped_by"]) == (rec.asked, rec.kept,
                                                                      rec.stopped_by)
             assert blk["last_cond"] == float(rec.cond_trace[-1])
+
+    def test_block_seconds_are_parts_of_the_phase_seconds(self, tmp_path):
+        man = small_manifest(matrix="lap2d:12", basis="scaled-newton", initial_step=12,
+                             restart_len=24)
+        res = run_experiment(man, str(tmp_path))
+        with open(res.json_path, encoding="ascii") as f:
+            meta = json.load(f)
+        blocks, timings = meta["result"]["blocks"], meta["timings"]
+        for blk in blocks:
+            assert all(math.isfinite(blk[key]) and blk[key] >= 0.0 for key in ("mpk_s", "qr_s"))
+        harvest = [blk for blk in blocks if blk["phase"] == "harvest"]
+        solve = [blk for blk in blocks if blk["phase"] == "solve"]
+        assert harvest and solve
+        # each block's clocks read inside its phase, outermost phase first
+        assert sum(blk["mpk_s"] + blk["qr_s"] for blk in harvest) <= timings["harvest"]
+        assert sum(blk["mpk_s"] for blk in solve) <= timings["mpk"]
+        assert sum(blk["qr_s"] for blk in solve) <= timings["ortho"]
+        # the seconds take no part in comparing records
+        rec = res.trace.blocks[0]
+        assert replace(rec, mpk_s=rec.mpk_s + 1.0, qr_s=-1.0) == rec
 
     def test_setup_time_covers_matrix_build(self, tmp_path, monkeypatch):
         build = sstep.harness.resolve_matrix

@@ -1,5 +1,10 @@
 """Incomplete LU factorization with zero fill."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -254,6 +259,42 @@ def test_solve_leaves_its_argument_unchanged():
     # a strided view and a list are taken too
     block = np.random.default_rng(7).standard_normal((36, 3))
     assert fac.solve(block[:, 1]).tobytes() == fac.solve(block[:, 1].tolist()).tobytes()
+
+
+def test_solve_into_out_is_bitwise_the_new_array():
+    # out may be r itself: the solve reads its copy of r, not out
+    fac = ilu0(gen_laplace2d(6))
+    rows = np.random.default_rng(8).standard_normal((2, 36))
+    want = fac.solve(rows[0])
+    row = rows[1]
+    assert fac.solve(rows[0], out=row) is row and row.tobytes() == want.tobytes()
+    row = rows[0]
+    assert fac.solve(row, out=row) is row and row.tobytes() == want.tobytes()
+
+
+def test_scipy_without_the_private_solve(tmp_path):
+    # a scipy without gstrs still imports sstep and solves without ILU(0);
+    # ilu0 and the command line name the missing symbol
+    code = ("import sys\n"
+            "sys.modules['scipy.sparse.linalg._dsolve._superlu'] = None\n"
+            "import sstep, sstep.cli\n"
+            "assert sstep.ilu.gstrs is None\n"
+            "try:\n"
+            "    sstep.ilu0(sstep.gen_laplace2d(3))\n"
+            "except ValueError as exc:\n"
+            "    assert 'gstrs' in str(exc), exc\n"
+            "else:\n"
+            "    raise AssertionError('ilu0 ran without gstrs')\n"
+            "out = sys.argv[1]\n"
+            "print(sstep.cli.main(['--matrix', 'lap2d:6', '--out', out]),\n"
+            "      sstep.cli.main(['--matrix', 'lap2d:6', '--precond', 'ilu0', '--out', out]))\n")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "1"]
+    assert "sstep: error: ilu0 needs scipy.sparse.linalg._dsolve._superlu.gstrs" in proc.stderr
 
 
 def test_l_unit_lower_u_upper():

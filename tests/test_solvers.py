@@ -521,6 +521,44 @@ def test_block_is_built_in_the_basis():
     assert peak < basis + 2 * block
 
 
+def test_monomial_solve_holds_two_vectors_beyond_the_basis():
+    # the operator writes into basis rows and residual buffers, the update
+    # is formed in a basis row, and so are the candidate iterate and its
+    # residual at a confirmation: the only n-vectors beyond the basis are x
+    # and r.  The dense state adds the Hessenberg and least-squares arrays
+    # of two cycles at the hand-over, 4 (m + 1) m floats (0.4 of a vector
+    # here), allowed 6 (m + 1) m with the small arrays of the block QR.
+    # (an operator returning a new vector per apply, and new vectors for the
+    # update, the candidate and its residual, held 5.2 beyond the basis)
+    n, m = 100_000, 100
+    a, b = diag_problem(n, seed=3)
+    cfg = SolverConfig(basis="monomial", initial_step=10, restart_len=m, rel_tol=2e-10)
+    adaptive_gmres(a.matvec, b, config=SolverConfig(initial_step=2, restart_len=4))  # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr = adaptive_gmres(a.matvec, b, config=cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # a full cycle, then the adapted blocks of 6 and a kept confirmation
+    assert tr.converged and tr.restarts == 1 and tr.block_sizes[0] == 6
+    basis, vector, dense = (m + 1) * n * 8, n * 8, 6 * (m + 1) * m * 8
+    assert peak < basis + 2 * vector + dense
+
+
+@pytest.mark.parametrize("solver", [adaptive_gmres, gmres_baseline])
+def test_operator_writing_into_its_row_gives_the_same_bits(solver):
+    a = gen_laplace2d(12)
+    b = unit_rhs(np.random.default_rng(11), a.n)
+    cfg = SolverConfig(basis="scaled-newton", initial_step=12, restart_len=24, rel_tol=1e-12)
+    into = solver(a.matvec, b, config=cfg)
+    fresh = solver(lambda v: a.matvec(v), b, config=cfg)
+    assert into.converged and into.restarts > 0
+    for name in ("x", "residuals", "block_size", "reductions_cum", "spmv_cum"):
+        assert getattr(into, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
 class TestEdgeBehavior:
     def test_identity_converges_in_one_iteration(self):
         n = 50

@@ -55,6 +55,38 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="incompatible"):
             a.matvec(np.ones(5))
 
+    @pytest.mark.parametrize("kernel", ["csr_matvec", "public product"])
+    def test_matvec_into_out_is_bitwise_the_new_vector(self, kernel, monkeypatch):
+        # the zeroed row is accumulated into as .dot accumulates into its
+        # fresh zeros; without the private kernel the product is copied in
+        if kernel == "public product":
+            monkeypatch.setattr(sstep.sparse, "csr_matvec", None)
+        a = gen_laplace2d(9)
+        rows = np.full((3, a.n), np.nan)
+        x = np.random.default_rng(4).standard_normal(2 * a.n)[::2]  # a strided view
+        x[3] = -0.0
+        row = rows[1]
+        assert a.matvec(x, out=row) is row
+        assert row.tobytes() == a.matvec(x).tobytes()
+        assert np.isnan(rows[[0, 2]]).all()
+
+    @pytest.mark.parametrize("make_out,msg", [
+        (lambda n: np.empty(n + 1), "C-contiguous float64 array of length"),
+        (lambda n: np.empty(n, dtype=np.float32), "C-contiguous float64 array of length"),
+        (lambda n: np.empty(2 * n)[::2], "C-contiguous float64 array of length"),
+        (lambda n: np.empty(n).tolist(), "C-contiguous float64 array of length"),
+    ], ids=["length", "dtype", "strided", "list"])
+    def test_matvec_refuses_an_out_it_cannot_write(self, make_out, msg):
+        a = gen_diagonal(5, 1.0, 2.0)
+        with pytest.raises(ValueError, match=msg):
+            a.matvec(np.ones(5), out=make_out(5))
+
+    def test_matvec_refuses_out_overlapping_the_operand(self):
+        a = gen_diagonal(5, 1.0, 2.0)
+        v = np.ones(5)
+        with pytest.raises(ValueError, match="overlap"):
+            a.matvec(v, out=v)
+
     def test_column_norms_match_dense(self):
         rng = np.random.default_rng(2)
         a = SparseMatrix.from_dense(rng.standard_normal((9, 9)) * (rng.random((9, 9)) > 0.6))

@@ -4,12 +4,13 @@
 
 Imports ``sstep`` from ``CHECKOUT/src`` and runs a fixed set of problems:
 manifests through ``run_experiment`` (the baseline, all three bases,
-ILU(0), scalar and column equilibration, the step estimator, and a
+ILU(0), scalar and column equilibration, the step estimator, a
 nonsymmetric convection-diffusion matrix read from a Matrix Market file,
-whose harvest has 18 conjugate pairs, and a singular system whose
-confirmation does not converge), plus direct solver calls with
-short user-given shift sets that have to be cycled and a harvest that
-exhausts the Krylov space of ``diag:6``.
+whose harvest has 18 conjugate pairs, a singular system whose
+confirmation does not converge, and a first monomial block that
+overflows), plus direct solver calls with short user-given shift sets
+that have to be cycled and a harvest that exhausts the Krylov space of
+``diag:6``.
 
 Each line names the run and gives the sha256 (first 16 hex digits) of its
 per-iteration CSV (of the trace arrays for a direct call) and of ``x``,
@@ -89,6 +90,10 @@ def manifests(mtx: str) -> list:
         ("singular-scaled-newton", dict(matrix="diag:2:0:1", basis="scaled-newton",
                                         initial_step=2, restart_len=8, max_restarts=5,
                                         rhs="random", seed=4)),
+        # the first 80-wide monomial block overflows: the block QR stops at
+        # the overflow and drops the candidate rows past it
+        ("overflow-monomial-diag", dict(matrix="diag:400:1.0:10000.0", initial_step=80,
+                                        restart_len=80, rhs="random", seed=3)),
     ]
 
 
