@@ -195,8 +195,12 @@ def writes_into(op):
 
     An operator whose signature has an out parameter, or **kwargs, is
     called as op(v, out=out), and writes into out; any other operator's
-    new vector is copied into out.  The signature is read once, here.
+    new vector is copied into out.  The signature is read once, here, and
+    a callable marked _writes_into (what this returns, or the solver's
+    counted operator) is already of that form and is returned as it is.
     """
+    if getattr(op, "_writes_into", False):
+        return op
     try:
         params = inspect.signature(op).parameters.values()
     except (TypeError, ValueError):  # no signature to read: call it plainly
@@ -212,6 +216,7 @@ def writes_into(op):
         def into(v, out):
             out[...] = op(v)
             return out
+    into._writes_into = True
     return into
 
 

@@ -120,6 +120,7 @@ def _counted(op, counter: ReductionCounter):
         counter.add("spmv", "mpk")
         return into(v, out)
 
+    apply._writes_into = True  # so matrix_powers does not adapt it again
     return apply
 
 
@@ -221,20 +222,19 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
     b = _real_vector("b", b)
     op = _counted(op, counter)
 
-    def residual(x, out=None):
-        """b - A x, formed in out (a new vector when None), and its norm; b itself for x = None."""
+    def residual(x, out):
+        """b - A x, formed in out, and its norm; b for the zero start x = None."""
         with counter.phase("residual"):
             if x is None:
-                r = b
+                np.copyto(out, b)
             else:
-                r = op(x, np.empty(len(b)) if out is None else out)
-                np.subtract(b, r, out=r)
+                np.subtract(b, op(x, out), out=out)
             counter.add("norms", "residual")
-            return r, float(np.linalg.norm(r))
+            return out, float(np.linalg.norm(out))
 
     x = np.zeros(len(b)) if x0 is None else _real_vector("x0", x0, len(b)).copy()
     with np.errstate(over="ignore"):  # an overflowing norm is refused next
-        r, beta = residual(None if x0 is None else x)
+        r, beta = residual(None if x0 is None else x, np.empty(len(b)))
     if not math.isfinite(beta):
         raise ValueError(f"the first residual {'b' if x0 is None else 'b - A x0'} has norm "
                          f"{beta}: it holds inf or NaN, or its norm overflows")
@@ -260,7 +260,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
             # full cycle without a convergence signal: advance the iterate,
             # and form its residual over the last one, which no one reads again
             x += cyc.update(cyc.ls.ncols)
-            r, beta = residual(x, None if r is b else r)
+            r, beta = residual(x, r)
             continue
         k, est, exhausted = cyc.signal
         kept = False
@@ -278,8 +278,6 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
             converged = beta_new <= (max(10.0 * est, cyc.tol) if est <= cyc.tol else cyc.tol)
             kept = converged or beta_new < beta
             if kept:
-                if r is b:  # the caller's b; the state takes a vector of its own
-                    r = np.empty_like(b)
                 x[...], r[...], beta = x_new, r_new, beta_new
         if converged:
             break

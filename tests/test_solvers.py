@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sstep.basis
 import sstep.blockqr
 import sstep.solvers
 from sstep import (
@@ -557,6 +558,24 @@ def test_operator_writing_into_its_row_gives_the_same_bits(solver):
     assert into.converged and into.restarts > 0
     for name in ("x", "residuals", "block_size", "reductions_cum", "spmv_cum"):
         assert getattr(into, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def test_operator_signature_is_read_once_per_solve(monkeypatch):
+    # the driver adapts the operator once, and matrix_powers passes the
+    # adapted operator through on every block
+    read, inspect = [], sstep.basis.inspect
+
+    def signature(f):
+        read.append(f)
+        return inspect.signature(f)
+
+    monkeypatch.setattr(sstep.basis, "inspect", mock.Mock(wraps=inspect, signature=signature))
+    a = gen_laplace2d(12)
+    b = unit_rhs(np.random.default_rng(11), a.n)
+    cfg = SolverConfig(basis="scaled-newton", initial_step=12, restart_len=24, rel_tol=1e-12)
+    tr = adaptive_gmres(a.matvec, b, config=cfg)
+    assert tr.restarts > 0 and len(tr.blocks) > 2
+    assert read == [a.matvec]
 
 
 class TestEdgeBehavior:
