@@ -17,7 +17,8 @@ from sstep.blockqr import OVERFLOW_LIMIT
 rng = np.random.default_rng(11)
 n, s = 400, 12
 diag = np.linspace(0.5, 50.0, n)
-op = lambda v: diag * v
+# an operator writes A v into the vector out it is given, and returns out
+op = lambda v, out: np.multiply(diag, v, out=out)
 
 v0 = rng.standard_normal(n)
 v0 /= np.linalg.norm(v0)

@@ -2,9 +2,9 @@
 
 The matrix powers kernel is the bare recurrence into rows the caller gives:
 it takes no norm, so it makes no reduction; the block QR decides what stays.
-The operator is a callable, op(v) returning a new vector, or op(v, out=row)
-writing into the row it is given (see writes_into); the kernel hands the
-latter each step's own row, and so allocates no n-vector per step.
+Every operator is op(v, out): it writes A v into out, a C-contiguous
+float64 n-vector that does not overlap v, and returns out.  The kernel
+hands it each step's own row, and so allocates no n-vector per step.
 
 Complex shifts are handled in real arithmetic.  A conjugate pair occupies
 two adjacent recurrence steps: the first step uses only the real part, the
@@ -14,12 +14,14 @@ real even when the shifts are not.
 
 from __future__ import annotations
 
-import inspect
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+OPERATOR_CONTRACT = "an operator must be op(v, out): write A v into out and return out"
+
 
 def leja_order(values) -> np.ndarray:
     """Greedy max-product ordering of shift values.
@@ -190,58 +192,28 @@ class KrylovBlock:
     ncols: int
 
 
-def writes_into(op):
-    """op as a callable f(v, out) that leaves op(v) in out and returns out.
-
-    An operator whose signature has an out parameter, or **kwargs, is
-    called as op(v, out=out), and writes into out; any other operator's
-    new vector is copied into out.  The signature is read once, here, and
-    a callable marked _writes_into (what this returns, or the solver's
-    counted operator) is already of that form and is returned as it is.
-    """
-    if getattr(op, "_writes_into", False):
-        return op
-    try:
-        params = inspect.signature(op).parameters.values()
-    except (TypeError, ValueError):  # no signature to read: call it plainly
-        params = ()
-    if any(p.kind is p.VAR_KEYWORD or (p.name == "out" and p.kind is not p.POSITIONAL_ONLY)
-           for p in params):
-        def into(v, out):
-            y = op(v, out=out)
-            if y is not out:  # an operator that returned a new vector after all
-                out[...] = y
-            return out
-    else:
-        def into(v, out):
-            out[...] = op(v)
-            return out
-    into._writes_into = True
-    return into
-
-
 def matrix_powers(op, rows: np.ndarray, cob: ChangeOfBasis) -> KrylovBlock:
     """Generate s new Krylov vectors into rows[1:s+1] from the seed in rows[0].
 
     rows is an (s + 1) x n float64 array, one vector per row; the solver
-    passes the basis rows the block will occupy.  op is the operator as a
-    callable (preconditioning folded in by the caller): op(v), returning a
-    new vector that is copied into the step's row, or op(v, out=row),
-    writing into it (writes_into).  The latter allocates no n-vector per
-    step.  The shift, coupling and scale passes run only where they are
-    not 0, 0 and 1, through one scratch row, so a monomial step is the
-    operator apply alone.  No norm is taken and an overflowing block warns
-    nowhere: the block QR drops what overflowed.
+    passes the basis rows the block will occupy.  op is the operator
+    (preconditioning folded in by the caller), called as op(rows[k],
+    rows[k + 1]): it writes into the step's row and returns it, so no
+    n-vector is allocated per step.  An op that returns anything else
+    raises ValueError.  The shift, coupling and scale passes run only where
+    they are not 0, 0 and 1, through one scratch row, so a monomial step is
+    the operator apply alone.  No norm is taken and an overflowing block
+    warns nowhere: the block QR drops what overflowed.
     """
     s = cob.s
     if rows.ndim != 2 or rows.shape[0] != s + 1:
         raise ValueError(f"rows must hold the seed and {s} vectors, got shape {rows.shape}")
-    apply = writes_into(op)
     tmp = np.empty_like(rows[0]) if cob.shift.any() or cob.coupling.any() else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(s):
             prev, w = rows[k], rows[k + 1]
-            apply(prev, w)
+            if op(prev, w) is not w:
+                raise ValueError(OPERATOR_CONTRACT)
             if cob.shift[k] != 0.0:
                 np.multiply(prev, cob.shift[k], out=tmp)
                 w -= tmp

@@ -308,9 +308,9 @@ def run_experiment(manifest: RunManifest, out_dir: str = ".") -> RunResult:
     if manifest.precond == "ilu0":
         m_fac = ilu0(a_eq)
 
-        def op(v, out=None):
+        def op(v, out):
             # A v lands in out, and the solve reads it there before writing
-            return m_fac.solve(a_eq.matvec(v, out=out), out=out)
+            return m_fac.solve(a_eq.matvec(v, out), out)
 
         rhs_sys = m_fac.solve(b_eq)
     else:

@@ -50,24 +50,6 @@ class ILU0:
     lower: _sp.csc_matrix
     upper: _sp.csc_matrix
 
-    @property
-    def l_factor(self) -> _sp.csr_matrix:
-        """L, unit lower triangular, in CSR form on A's pattern."""
-        data = self.lower.data.copy()
-        data[self.lower.indptr[:-1]] = 1.0
-        return _sp.csc_matrix((data, self.lower.indices, self.lower.indptr),
-                              shape=self.lower.shape).tocsr()
-
-    @property
-    def u_factor(self) -> _sp.csr_matrix:
-        """U, upper triangular, in CSR form on A's pattern."""
-        n, up = self.lower.shape[0], self.upper
-        ends = up.indptr[1:]
-        return _sp.csc_matrix(
-            (np.insert(up.data, ends, self.lower.data[self.lower.indptr[:-1]]),
-             np.insert(up.indices, ends, np.arange(n)), up.indptr + np.arange(n + 1)),
-            shape=up.shape).tocsr()
-
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """M^{-1} r: a forward and a backward sweep by columns.
 

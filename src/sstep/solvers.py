@@ -13,9 +13,10 @@ Both take the operator as a callable and the right-hand side of the system
 actually iterated on, i.e. preconditioning and scaling are folded in by the
 caller.  Residual norms in traces are therefore preconditioned residuals,
 reported relative to the first cycle's starting norm.  The operator is
-op(v), returning a new vector, or op(v, out=row), writing into the row it
-is given (basis.writes_into, read once per solve); the latter is handed
-the basis row or residual buffer its result belongs in.
+op(v, out): it writes A v into out, a C-contiguous float64 n-vector that
+does not overlap v, and returns out.  It is handed the basis row or
+residual buffer its result belongs in; one that returns anything else
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .basis import RitzSet, build_change_of_basis, matrix_powers, newton_scalings, writes_into
+from .basis import (OPERATOR_CONTRACT, RitzSet, build_change_of_basis, matrix_powers,
+                    newton_scalings)
 from .blockqr import bcgs2_partial_cholqr, project
 from .dense import BreakdownError, GivensLs, hessenberg_eigenvalues, negligible
 from .estimator import estimate_initial_step
@@ -110,17 +112,16 @@ def _real_vector(name: str, v, n: int | None = None) -> np.ndarray:
 
 
 def _counted(op, counter: ReductionCounter):
-    """op as apply(v, out), which writes into out and books one spmv per apply.
+    """op, booking one spmv per apply and refusing a result that is not out.
 
     The spmv goes to the counter phase open at the call, mpk if none.
     """
-    into = writes_into(op)
-
     def apply(v, out):
         counter.add("spmv", "mpk")
-        return into(v, out)
+        if op(v, out) is not out:
+            raise ValueError(OPERATOR_CONTRACT)
+        return out
 
-    apply._writes_into = True  # so matrix_powers does not adapt it again
     return apply
 
 
@@ -271,8 +272,9 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
             # point; x_new and its residual are formed in basis rows, which the
             # ended cycle no longer reads, and copied into the state when kept
             x_new = np.add(x, cyc.update(k), out=cyc.q[k])
-            counter.add("true_residual_checks", "residual")
-            r_new, beta_new = residual(x_new, cyc.q[0])
+            with counter.phase("residual"):
+                counter.add("true_residual_checks", "residual")
+                r_new, beta_new = residual(x_new, cyc.q[0])
             # the 10x allowance on the estimate applies only to an estimate that
             # met the tolerance; an exhausted space above it is not convergence
             converged = beta_new <= (max(10.0 * est, cyc.tol) if est <= cyc.tol else cyc.tol)
@@ -465,17 +467,19 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
 
     cycle, given only by an adaptive solve, is the solve's first cycle,
     started from rhs, its first residual, by the driver, which also normed
-    it, and op and counter are the cycle's.  The harvest then fills that
-    cycle's basis, Hessenberg matrix, least-squares state, trace rows and
-    block records, stops early also on the cycle's tolerance, and leaves its
-    signal in cycle.signal, so that the driver keeps its iterate.
-    Standalone, the harvest builds a cycle of its own and keeps none of it
-    but the Ritz values.
+    it, and op, counter and the condition limit are the cycle's.  The
+    harvest then fills that cycle's basis, Hessenberg matrix, least-squares
+    state, trace rows and block records, stops early also on the cycle's
+    tolerance, and leaves its signal in cycle.signal, so that the driver
+    keeps its iterate.  Standalone, the harvest builds a cycle of its own,
+    under SolverConfig's default condition limit, and keeps none of it but
+    the Ritz values.
     """
     if k < 1:
         raise ValueError("k must be positive")
     counter = counter if counter is not None else ReductionCounter()
-    cfg = SolverConfig(basis="scaled-newton", restart_len=k)
+    limit = SolverConfig.cond_limit if cycle is None else cycle.cfg.cond_limit
+    cfg = SolverConfig(basis="scaled-newton", restart_len=k, cond_limit=limit)
     step = _BlockStep(cfg, None, "harvest")
     with counter.phase("harvest"):
         if cycle is None:
@@ -550,13 +554,10 @@ def adaptive_gmres(op, b: np.ndarray, x0: np.ndarray | None = None,
     iterations on op from the driver's first residual, and that harvest is
     the solve's first cycle: its iterate is kept, and it is not a restart.
 
-    op is op(v), returning a new vector, or op(v, out=row), writing into
-    row and returning it; an operator whose signature has an out
-    parameter or **kwargs is taken to be the second kind
-    (basis.writes_into).  That kind is handed the basis row or residual
-    vector its result belongs in, so the matrix powers kernel allocates no
-    n-vector per step; the first kind's vector is copied in.  The results
-    are the same bits either way.
+    op is op(v, out): it writes A v into out and returns out.  It is
+    handed the basis row or residual vector its result belongs in, so the
+    matrix powers kernel allocates no n-vector per step.  An op that
+    returns anything but out raises ValueError.
     """
     cfg = config if config is not None else SolverConfig()
     if cfg.initial_step > cfg.restart_len:  # the harvest cycle must fit the basis

@@ -273,7 +273,7 @@ class TestCriterion8Properties:
             for _ in range(3):
                 cob = build_change_of_basis(
                     kind, s, ritz.cycled(s) if kind != "monomial" else None)
-                blk = matrix_powers(lambda v: ad @ v, q[i - 1 : i + s], cob)
+                blk = matrix_powers(lambda v, out: np.matmul(ad, v, out=out), q[i - 1 : i + s], cob)
                 out = bcgs2_partial_cholqr(q[:i], blk.v, 1e7)
                 h[: i + out.p, i - 1 : i - 1 + out.p] = assemble_hessenberg(
                     out.r_hat, cob.dense(), h[:i, : i - 1])

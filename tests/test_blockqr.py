@@ -366,7 +366,8 @@ class TestOverflowStop:
         shifts = RitzSet(np.ones(s)) if kind == "newton" else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            blk = matrix_powers(lambda v: 1e9 * v, rows, build_change_of_basis(kind, s, shifts))
+            blk = matrix_powers(lambda v, out: np.multiply(1e9, v, out=out), rows,
+                                build_change_of_basis(kind, s, shifts))
             assert np.isinf(rows).any() and np.isnan(rows).any() == (kind == "newton")
             out = bcgs2_partial_cholqr(np.zeros((0, n)), blk.v, 1e7)
         assert (out.p, out.stopped_by) == (1, "overflow")

@@ -72,6 +72,20 @@ def reference_ilu0(a: SparseMatrix):
     return l_factor, u_factor
 
 
+def factors(fac):
+    """L, unit lower triangular, and U, upper triangular, of an ILU0, in CSR form on A's pattern."""
+    lower, up = fac.lower, fac.upper
+    n, ends = lower.shape[0], up.indptr[1:]
+    data = lower.data.copy()
+    data[lower.indptr[:-1]] = 1.0
+    l_factor = sp.csc_matrix((data, lower.indices, lower.indptr), shape=lower.shape).tocsr()
+    u_factor = sp.csc_matrix(
+        (np.insert(up.data, ends, lower.data[lower.indptr[:-1]]),
+         np.insert(up.indices, ends, np.arange(n)), up.indptr + np.arange(n + 1)),
+        shape=up.shape).tocsr()
+    return l_factor, u_factor
+
+
 def random_pattern(seed, n, density, no_lower=0.0):
     """Nonsymmetric random sparse matrix with a dominant diagonal.
 
@@ -114,9 +128,9 @@ def test_factors_are_bitwise_those_of_the_row_loop(name):
     want_l, want_u = reference_ilu0(a)
     # no explicit zeros, which the SuperLU form drops
     assert np.all(want_l.data != 0) and np.all(want_u.data != 0)
-    fac = ilu0(a)
-    assert_same_bytes(fac.l_factor, want_l)
-    assert_same_bytes(fac.u_factor, want_u)
+    got_l, got_u = factors(ilu0(a))
+    assert_same_bytes(got_l, want_l)
+    assert_same_bytes(got_u, want_u)
 
 
 def _csr(n, rows):
@@ -159,20 +173,20 @@ def test_tridiagonal_equals_exact_lu():
     n = 8
     a = (np.diag(np.full(n, 4.0)) + np.diag(np.full(n - 1, -1.0), 1)
          + np.diag(np.full(n - 1, -1.0), -1))
-    fac = ilu0(SparseMatrix.from_dense(a))
-    lu = fac.l_factor.toarray() @ fac.u_factor.toarray()
+    l_fac, u_fac = (f.toarray() for f in factors(ilu0(SparseMatrix.from_dense(a))))
+    lu = l_fac @ u_fac
     npt.assert_allclose(lu, a, rtol=0, atol=1e-14)
     # independent oracle for the same factorization: dense LU without pivoting
     p, l, u = sla.lu(a)
     npt.assert_allclose(p, np.eye(n), atol=0)
-    npt.assert_allclose(fac.l_factor.toarray(), l, atol=1e-14)
-    npt.assert_allclose(fac.u_factor.toarray(), u, atol=1e-13)
+    npt.assert_allclose(l_fac, l, atol=1e-14)
+    npt.assert_allclose(u_fac, u, atol=1e-13)
 
 
 def test_residual_vanishes_on_pattern():
     a = gen_laplace2d(4)
-    fac = ilu0(a)
-    gap = fac.l_factor.toarray() @ fac.u_factor.toarray() - a.to_dense()
+    l, u = factors(ilu0(a))
+    gap = l.toarray() @ u.toarray() - a.to_dense()
     mask = a.to_dense() != 0
     npt.assert_allclose(gap[mask], 0.0, atol=1e-13)
     assert np.max(np.abs(gap)) > 0.01  # fill-in outside the pattern was dropped
@@ -184,8 +198,9 @@ def test_solve_matches_dense_triangular_oracle(a):
     rng = np.random.default_rng(7)
     fac = ilu0(a)
     r = rng.standard_normal(a.n)
-    y = sla.solve_triangular(fac.l_factor.toarray(), r, lower=True, unit_diagonal=True)
-    want = sla.solve_triangular(fac.u_factor.toarray(), y, lower=False)
+    l, u = factors(fac)
+    y = sla.solve_triangular(l.toarray(), r, lower=True, unit_diagonal=True)
+    want = sla.solve_triangular(u.toarray(), y, lower=False)
     npt.assert_allclose(fac.solve(r), want, rtol=1e-12, atol=1e-12)
 
 
@@ -298,8 +313,7 @@ def test_scipy_without_the_private_solve(tmp_path):
 
 
 def test_l_unit_lower_u_upper():
-    fac = ilu0(gen_laplace2d(3))
-    l, u = fac.l_factor.toarray(), fac.u_factor.toarray()
+    l, u = (f.toarray() for f in factors(ilu0(gen_laplace2d(3))))
     npt.assert_array_equal(np.diag(l), np.ones(9))
     assert np.max(np.abs(np.triu(l, 1))) == 0
     assert np.max(np.abs(np.tril(u, -1))) == 0
