@@ -9,6 +9,7 @@ import pytest
 
 from sstep import (
     RitzSet,
+    SparseMatrix,
     build_change_of_basis,
     gen_diagonal,
     leja_order,
@@ -322,6 +323,20 @@ class TestMatrixPowers:
         npt.assert_array_equal(rows[0], self.seed)
         npt.assert_array_equal(blk.v, rows[1:])
         npt.assert_array_equal(rows[3], self.a @ (self.a @ (self.a @ self.seed)))
+
+    @pytest.mark.parametrize("kind,shifts", [
+        ("monomial", None),
+        ("newton", [1.8, 1.2, 1.5, 1.1]),
+        ("scaled-newton", [2.0, 1.3 + 0.4j, 1.3 - 0.4j, 1.0]),
+    ])
+    def test_operator_writing_into_the_row_gives_the_same_bits(self, kind, shifts):
+        # the sparse product written straight into the basis row against one
+        # made in a fresh vector and copied in
+        a = SparseMatrix.from_dense(self.a)
+        cob = build_change_of_basis(kind, 4, RitzSet.from_values(shifts) if shifts else None)
+        into = generate(a.matvec, self.seed, cob)
+        fresh = generate(lambda v, out: np.copyto(out, a.matvec(v)) or out, self.seed, cob)
+        assert into.v.tobytes() == fresh.v.tobytes()
 
     def test_monomial_block_allocates_no_vector_per_step(self):
         # the operator writes into each step's row, and a step with shift 0,
