@@ -108,8 +108,8 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
     own (a pivot stop), and where either factorization pass stops.  Raises
     BreakdownError when no row survives.
 
-    counter, when given, receives the four block reduction events with
-    phase 'ortho'.
+    counter, when given, receives the four block reduction events, in the
+    phase open at the call or else in 'ortho'.
     """
     q = np.asarray(q, dtype=np.float64)
     if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.flags.carray):
@@ -123,7 +123,8 @@ def bcgs2_partial_cholqr(q, v, cond_limit: float, counter=None) -> BlockQrOutcom
 
     def count(kind):
         if counter is not None:
-            counter.add(kind, "ortho")
+            with counter.phase("ortho"):
+                counter.add(kind)
 
     count("projections")
     # the candidates' own norms ride on the same reduction; an overflowed one

@@ -12,7 +12,7 @@ import sys
 from dataclasses import MISSING, fields
 
 from .dense import BreakdownError
-from .harness import CHOICES, RunManifest, run_experiment
+from .harness import CHOICES, GENERATORS, RunManifest, run_experiment
 from .ilu import ZeroPivotError
 
 
@@ -25,10 +25,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 # (flag, RunManifest field, help); defaults come from the dataclass, allowed
-# values from CHOICES, and a bool field takes on/off
+# values from CHOICES, generator spec forms from GENERATORS, and a bool field
+# takes on/off
 FLAGS = (
-    ("--matrix", "matrix",
-     "Matrix Market file, or generator spec diag:n:lo:hi | lap2d:n | lap3d:n"),
+    ("--matrix", "matrix", "Matrix Market file, or generator spec "
+     + " | ".join(form for *_, form in GENERATORS.values())),
     ("--solver", "solver", "column-at-a-time baseline or the adaptive block solver"),
     ("--basis", "basis", "basis recurrence for the block solver"),
     ("--s0", "initial_step", "starting block size"),

@@ -29,6 +29,7 @@ from .ilu import ilu0
 from .sparse import (
     SparseMatrix,
     equilibrate,
+    gen_convdiff2d,
     gen_diagonal,
     gen_laplace2d,
     gen_laplace3d,
@@ -67,8 +68,8 @@ class ReductionCounter:
     dot product both count 1.  spmv is bookkeeping, not a reduction.
 
     with counter.phase(name) books every event inside to name, and the
-    block's wall time to seconds[name]; add's phase applies only where
-    none is open.  The outermost open phase wins, so a harvest's mpk,
+    block's wall time to seconds[name]; add outside every phase raises
+    RuntimeError.  The outermost open phase wins, so a harvest's mpk,
     ortho and fallback work stays in harvest.  Set-up is no phase: it has
     its own clock, and would swallow the scalar-equilibration harvest.
     Nor is the least-squares solve, which books no events.  No phase
@@ -81,12 +82,13 @@ class ReductionCounter:
         self.seconds = dict.fromkeys(PHASES, 0.0)
         self._open = None  # the outermost open phase
 
-    def add(self, kind: str, phase: str, n: int = 1):
+    def add(self, kind: str, n: int = 1):
+        """Book n events of kind to the open phase."""
         if kind not in COUNTER_KINDS:
             raise KeyError(f"unknown counter kind '{kind}'")
-        if phase not in PHASES:
-            raise KeyError(f"unknown phase '{phase}'")
-        self._counts[self._open or phase][kind] += int(n)
+        if self._open is None:
+            raise RuntimeError(f"'{kind}' event outside every counter phase")
+        self._counts[self._open][kind] += int(n)
 
     @contextmanager
     def phase(self, name: str):
@@ -203,15 +205,24 @@ class SolverConfig:
             raise ValueError("growth_limit must be positive")
 
 
+# generator name -> (generator, field types, spec form); every field is required
+GENERATORS = {
+    "diag": (gen_diagonal, (int, float, float), "diag:n:lo:hi"),
+    "lap2d": (gen_laplace2d, (int,), "lap2d:n"),
+    "lap3d": (gen_laplace3d, (int,), "lap3d:n"),
+    "convdiff2d": (gen_convdiff2d, (int, float, float, float), "convdiff2d:n:pex:pey:reaction"),
+}
+
+
 @dataclass(kw_only=True)
 class RunManifest(SolverConfig):
-    """One experiment: problem, solver, and output identity.
+    __doc__ = f"""One experiment: problem, solver, and output identity.
 
     Takes every SolverConfig field as a keyword, and is passed to the
     solver as its config.  matrix accepts a Matrix Market path or a
-    generator spec: 'diag:n:lo:hi', 'lap2d:n', 'lap3d:n'.  rhs 'ones'
-    solves against b = A @ ones; 'random' against a unit vector drawn
-    from seed.
+    generator spec: {", ".join(form for *_, form in GENERATORS.values())}.
+    rhs 'ones' solves against b = A @ ones; 'random' against a unit vector
+    drawn from seed.
     """
 
     matrix: str
@@ -244,14 +255,6 @@ class RunResult:
     trace: object
 
 
-# generator name -> (generator, field types, spec form)
-_GENERATORS = {
-    "diag": (gen_diagonal, (int, float, float), "diag:n:lo:hi"),
-    "lap2d": (gen_laplace2d, (int,), "lap2d:n"),
-    "lap3d": (gen_laplace3d, (int,), "lap3d:n"),
-}
-
-
 def resolve_matrix(spec: str) -> SparseMatrix:
     """Build a matrix from a generator spec or read it from a file.
 
@@ -260,9 +263,9 @@ def resolve_matrix(spec: str) -> SparseMatrix:
     the spec.
     """
     kind, *parts = spec.split(":")
-    if kind not in _GENERATORS or not parts:
+    if kind not in GENERATORS or not parts:
         return parse_matrix_market(spec)
-    gen, types, form = _GENERATORS[kind]
+    gen, types, form = GENERATORS[kind]
     try:
         args = [t(v) for t, v in zip(types, parts, strict=True)]
     except ValueError:

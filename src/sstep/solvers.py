@@ -112,12 +112,9 @@ def _real_vector(name: str, v, n: int | None = None) -> np.ndarray:
 
 
 def _counted(op, counter: ReductionCounter):
-    """op, booking one spmv per apply and refusing a result that is not out.
-
-    The spmv goes to the counter phase open at the call, mpk if none.
-    """
+    """op, booking one spmv per apply and refusing a result that is not out."""
     def apply(v, out):
-        counter.add("spmv", "mpk")
+        counter.add("spmv")
         if op(v, out) is not out:
             raise ValueError(OPERATOR_CONTRACT)
         return out
@@ -230,7 +227,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
                 np.copyto(out, b)
             else:
                 np.subtract(b, op(x, out), out=out)
-            counter.add("norms", "residual")
+            counter.add("norms")
             return out, float(np.linalg.norm(out))
 
     x = np.zeros(len(b)) if x0 is None else _real_vector("x0", x0, len(b)).copy()
@@ -273,7 +270,7 @@ def _restarted_gmres(op, b: np.ndarray, x0: np.ndarray | None, cfg: SolverConfig
             # ended cycle no longer reads, and copied into the state when kept
             x_new = np.add(x, cyc.update(k), out=cyc.q[k])
             with counter.phase("residual"):
-                counter.add("true_residual_checks", "residual")
+                counter.add("true_residual_checks")
                 r_new, beta_new = residual(x_new, cyc.q[0])
             # the 10x allowance on the estimate applies only to an estimate that
             # met the tolerance; an exhausted space above it is not convergence
@@ -328,11 +325,11 @@ class _ColumnStep:
         with counter.phase("mpk"):
             w = cyc.op(q[i - 1], q[i])  # projected and normalized in place
         with counter.phase("ortho"):
-            counter.add("projections", "ortho", i)
+            counter.add("projections", i)
             for t in range(i):
                 hcol[t] = float(q[t] @ w)
                 w -= hcol[t] * q[t]
-            counter.add("norms", "ortho")
+            counter.add("norms")
             nrm = float(np.linalg.norm(w))
         # ||op(q[i - 1])|| rebuilt from the coefficients, without a reduction
         if negligible(nrm, i, math.sqrt(float(hcol[:i] @ hcol[:i]) + nrm * nrm)):
@@ -484,7 +481,7 @@ def ritz_harvest(op, rhs: np.ndarray, k: int, counter: ReductionCounter | None =
     with counter.phase("harvest"):
         if cycle is None:
             rhs = _real_vector("rhs", rhs)
-            counter.add("norms", "harvest")
+            counter.add("norms")
             with np.errstate(over="ignore"):  # an overflowing norm is refused below
                 beta = float(np.linalg.norm(rhs))
             if beta == 0.0:

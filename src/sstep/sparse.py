@@ -307,23 +307,25 @@ def gen_diagonal(n: int, lo: float, hi: float) -> SparseMatrix:
     return SparseMatrix(n, np.arange(n + 1, dtype=idx), np.arange(n, dtype=idx), d)
 
 
-def _grid_laplacian(n: int, dim: int) -> SparseMatrix:
-    """(2 dim + 1)-point Laplacian on an n^dim grid with Dirichlet boundaries.
+def _grid_stencil(n: int, diag: float, couplings) -> SparseMatrix:
+    """Constant-coefficient stencil on an n^dim grid with Dirichlet boundaries.
 
+    couplings holds one (lower, upper) pair per axis, dim = len(couplings).
     Nodes are ordered lexicographically, so the neighbors of node j along
     axis k are j -+ n**k, and j has no neighbor at j - n**k when it is
-    first along that axis: (j // n**k) % n == 0.  Diagonal entries are
-    2 dim, neighbor entries are -1.
+    first along that axis: (j // n**k) % n == 0.  Row j holds diag at j,
+    lower at j - n**k and upper at j + n**k.  A zero value is not stored.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    N = n**dim
-    bands, offsets = [np.full(N, 2.0 * dim)], [0]
-    # n = 1 leaves one node and no room for a band
-    for s in (n**k for k in range(dim) if n**k < N):
-        j = np.arange(s, N)
-        band = np.where((j // s) % n == 0, 0.0, -1.0)
-        bands += [band, band]
+    N = n ** len(couplings)
+    bands, offsets = [np.full(N, float(diag))], [0]
+    for k, (lower, upper) in enumerate(couplings):
+        s = n**k
+        if s >= N:  # n = 1 leaves one node and no room for a band
+            continue
+        first = (np.arange(s, N) // s) % n == 0
+        bands += [np.where(first, 0.0, upper), np.where(first, 0.0, lower)]
         offsets += [s, -s]
     m = _sp.diags(bands, offsets, format="csr")
     m.eliminate_zeros()
@@ -336,7 +338,7 @@ def gen_laplace2d(n: int) -> SparseMatrix:
 
     Node (i, j) -> i n + j; diagonal entries are 4, neighbor entries -1.
     """
-    return _grid_laplacian(n, 2)
+    return _grid_stencil(n, 4.0, [(-1.0, -1.0)] * 2)
 
 
 def gen_laplace3d(n: int) -> SparseMatrix:
@@ -345,7 +347,20 @@ def gen_laplace3d(n: int) -> SparseMatrix:
     Node (i, j, k) -> (i n + j) n + k; diagonal entries are 6, neighbor
     entries -1.
     """
-    return _grid_laplacian(n, 3)
+    return _grid_stencil(n, 6.0, [(-1.0, -1.0)] * 3)
+
+
+def gen_convdiff2d(n: int, pex: float, pey: float, reaction: float) -> SparseMatrix:
+    """Convection-diffusion-reaction on an n x n grid with Dirichlet boundaries.
+
+    The 5-point Laplacian plus central-difference convection with cell
+    Peclet numbers pex along x (stride 1) and pey along y (stride n), plus
+    reaction on the diagonal.  Node (i, j) -> i n + j; the diagonal entry
+    is 4 + reaction, the x neighbors -1 - pex (j - 1) and -1 + pex (j + 1),
+    the y neighbors -1 - pey (i - 1) and -1 + pey (i + 1).  Nonsymmetric
+    unless pex = pey = 0.
+    """
+    return _grid_stencil(n, 4.0 + reaction, [(-1.0 - pex, -1.0 + pex), (-1.0 - pey, -1.0 + pey)])
 
 
 @dataclass

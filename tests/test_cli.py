@@ -208,6 +208,14 @@ class TestFlagsReachTheRun:
         assert meta["result"]["blocks"][0]["phase"] == "harvest"
         assert f"({meta['result']['restarts']} restart" in out
 
+    def test_help_lists_every_generator_form(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for *_, form in sstep.harness.GENERATORS.values():
+            assert form in out
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["--matrix", "diag:4:1:2"])
         assert args.solver == "adaptive"

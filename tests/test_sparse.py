@@ -16,6 +16,7 @@ import sstep.sparse
 from sstep import (
     SparseMatrix,
     equilibrate,
+    gen_convdiff2d,
     gen_diagonal,
     gen_laplace2d,
     gen_laplace3d,
@@ -190,8 +191,25 @@ class TestGenerators:
         npt.assert_array_equal(a.indices, oracle.indices)
         npt.assert_array_equal(a.data, oracle.data)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_convdiff2d_without_convection_or_reaction_is_laplace2d(self, n):
+        a, lap = gen_convdiff2d(n, 0.0, 0.0, 0.0), gen_laplace2d(n)
+        npt.assert_array_equal(a.indptr, lap.indptr)
+        npt.assert_array_equal(a.indices, lap.indices)
+        npt.assert_array_equal(a.data, lap.data)
+
+    def test_convdiff2d_matches_the_benchmark_reference(self):
+        # the benchmark's own scipy Kronecker sum, with reaction on its x stencil
+        w = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+        ref = w["reference_matrix"]("convdiff", w["CONVDIFF_GRID"])
+        ref.sort_indices()
+        a = gen_convdiff2d(w["CONVDIFF_GRID"], w["PECLET_X"], w["PECLET_Y"], w["REACTION"])
+        npt.assert_array_equal(a.indptr, ref.indptr)
+        npt.assert_array_equal(a.indices, ref.indices)
+        npt.assert_array_equal(a.data, ref.data)
+
     def test_generators_reject_nonpositive_n(self):
-        for gen in (gen_laplace2d, gen_laplace3d):
+        for gen in (gen_laplace2d, gen_laplace3d, lambda n: gen_convdiff2d(n, 0.5, 0.3, 0.0)):
             with pytest.raises(ValueError):
                 gen(0)
 

@@ -5,12 +5,12 @@
 Imports ``sstep`` from ``CHECKOUT/src`` and runs a fixed set of problems:
 manifests through ``run_experiment`` (the baseline, all three bases,
 ILU(0), scalar and column equilibration, the step estimator, a
-nonsymmetric convection-diffusion matrix read from a Matrix Market file,
-whose harvest has 18 conjugate pairs, a singular system whose
-confirmation does not converge, and a first monomial block that
-overflows), plus direct solver calls with short user-given shift sets
-that have to be cycled and a harvest that exhausts the Krylov space of
-``diag:6``.
+nonsymmetric convection-diffusion matrix from ``sstep.gen_convdiff2d``,
+written to a Matrix Market file and read back, whose harvest has 18
+conjugate pairs, a singular system whose confirmation does not converge,
+and a first monomial block that overflows), plus direct solver calls with
+short user-given shift sets that have to be cycled and a harvest that
+exhausts the Krylov space of ``diag:6``.
 
 Each line names the run and gives the sha256 (first 16 hex digits) of its
 per-iteration CSV (of the trace arrays for a direct call) and of ``x``,
@@ -39,19 +39,12 @@ DIAG = "diag:3000:0.1:10.0"
 CONVDIFF_GRID, PECLET_X, PECLET_Y, CONVDIFF_STEP = 16, 0.5, 0.3, 40
 
 
-def write_convdiff(path: str):
-    """-Laplacian plus central-difference convection on the grid, as Matrix Market."""
-    m = CONVDIFF_GRID
-    idx = np.arange(m * m).reshape(m, m)
-    parts = [(idx, idx, 4.0),
-             (idx[:, 1:], idx[:, :-1], -1.0 - PECLET_X), (idx[:, :-1], idx[:, 1:], -1.0 + PECLET_X),
-             (idx[1:], idx[:-1], -1.0 - PECLET_Y), (idx[:-1], idx[1:], -1.0 + PECLET_Y)]
-    with open(path, "w", encoding="ascii") as f:
-        f.write("%%MatrixMarket matrix coordinate real general\n")
-        f.write(f"{m * m} {m * m} {sum(r.size for r, _, _ in parts)}\n")
-        for rows, cols, value in parts:
-            for r, c in zip(rows.ravel(), cols.ravel()):
-                f.write(f"{r + 1} {c + 1} {value!r}\n")
+def write_matrix_market(a, path: str):
+    """Write the SparseMatrix a as a general Matrix Market file."""
+    rows = np.repeat(np.arange(a.n), np.diff(a.indptr))
+    np.savetxt(path, np.column_stack([rows + 1, a.indices + 1, a.data]), fmt="%d %d %.17g",
+               header=f"%%MatrixMarket matrix coordinate real general\n{a.n} {a.n} {a.nnz}",
+               comments="")
 
 
 def manifests(mtx: str) -> list:
@@ -169,7 +162,7 @@ def main() -> int:
         return 1
     with tempfile.TemporaryDirectory() as work:
         mtx = os.path.join(work, "convdiff.mtx")
-        write_convdiff(mtx)
+        write_matrix_market(sstep.gen_convdiff2d(CONVDIFF_GRID, PECLET_X, PECLET_Y, 0.0), mtx)
         lines = []
         for name, kwargs in manifests(mtx):
             res = sstep.run_experiment(sstep.RunManifest(label=name, **kwargs), work)
